@@ -31,7 +31,6 @@ from .observables import supermartingale_trace
 from .ergodicity import invariant_fingerprint
 from .config import (
     ConfigError,
-    ConstantsReport,
     RunManifest,
     compute_constants,
     config_checksum,
@@ -177,7 +176,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.paths < 1:
                 raise ConfigError("paths override must be at least 1")
             cfg = replace(cfg, paths=args.paths)
-        cfg = cfg.validated()
         constants = compute_constants(cfg)
     except (ConfigurationError, BasisError, OperatorError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -119,26 +118,7 @@ def parse_config(text: str) -> SdeConfig:
                           f"(noise.B.count = {b_count})")
     fields["b_profiles"] = tuple(profiles[m] for m in range(1, b_count + 1))
 
-    cfg = SdeConfig(**fields)
-    _check_enums(cfg)
-    cfg = cfg.validated()
-    radii = cfg.radii
-    if len(radii) and any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ConfigError("key 'run.radii': radii must be strictly ascending")
-    if cfg.modes_per_axis < 1:
-        raise ConfigError("key 'domain.modes_per_axis': must be positive")
-    if cfg.oversample < 2:
-        raise ConfigError("key 'domain.oversample': must be an integer >= 2")
-    return cfg
-
-
-def _check_enums(cfg: SdeConfig):
-    if cfg.domain_kind not in BASIS_KINDS:
-        raise ConfigError(f"key 'domain.kind': expected one of {BASIS_KINDS}, "
-                          f"got {cfg.domain_kind!r}")
-    if cfg.g_variant not in G_VARIANTS:
-        raise ConfigError(f"key 'noise.G.variant': expected one of {G_VARIANTS}, "
-                          f"got {cfg.g_variant!r}")
+    return SdeConfig(**fields)
 
 
 # ---------------------------------------------------------------------------

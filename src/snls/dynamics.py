@@ -28,8 +28,9 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .spectral import EigenBasis, SpectralField, make_basis, v_norm_sq
+from .spectral import BASIS_KINDS, EigenBasis, SpectralField, make_basis, v_norm_sq
 from .operators import (
+    G_VARIANTS,
     LinearNoiseB,
     SmoothedProjector,
     StateNoiseG,
@@ -38,6 +39,7 @@ from .operators import (
     make_noise_B,
     make_noise_G,
     sharp_projector,
+    sigma_saturating,
     smoothed_projector,
     stratonovich_correction,
 )
@@ -91,7 +93,17 @@ class SdeConfig:
     radii: Tuple[float, ...] = (1.0, 2.0, 4.0, 8.0)
     smg_lambda: Optional[float] = None
 
+    def __post_init__(self):
+        self.validated()
+
     def validated(self) -> "SdeConfig":
+        """Check every knob; runs once, when the config is constructed."""
+        if self.domain_kind not in BASIS_KINDS:
+            raise ConfigurationError(f"key 'domain.kind': expected one of {BASIS_KINDS}, "
+                                     f"got {self.domain_kind!r}")
+        if self.g_variant not in G_VARIANTS:
+            raise ConfigurationError(f"key 'noise.G.variant': expected one of {G_VARIANTS}, "
+                                     f"got {self.g_variant!r}")
         if not (self.alpha > 1.0):
             raise ConfigurationError("alpha must exceed 1")
         if self.dt <= 0.0:
@@ -112,6 +124,13 @@ class SdeConfig:
             raise ConfigurationError("seed must be a non-negative integer")
         if not (0.0 <= self.burn_in_fraction < 1.0):
             raise ConfigurationError("run.burn_in_fraction must lie in [0, 1)")
+        radii = self.radii
+        if len(radii) and any(b <= a for a, b in zip(radii, radii[1:])):
+            raise ConfigurationError("key 'run.radii': radii must be strictly ascending")
+        if self.modes_per_axis < 1:
+            raise ConfigurationError("key 'domain.modes_per_axis': must be positive")
+        if self.oversample < 2:
+            raise ConfigurationError("key 'domain.oversample': must be an integer >= 2")
         return self
 
     @property
@@ -151,7 +170,6 @@ class GalerkinOps:
 
 
 def build_operators(cfg: SdeConfig, basis: Optional[EigenBasis] = None) -> GalerkinOps:
-    cfg = cfg.validated()
     if basis is None:
         basis = make_basis(cfg.domain_kind, cfg.modes_per_axis, cfg.oversample)
     mask = sharp_projector(cfg.galerkin_level, basis)
@@ -220,30 +238,9 @@ def _g_increment(u: np.ndarray, dWt: np.ndarray, ops: GalerkinOps) -> Optional[n
         return -1j * (dWt @ ops.g_additive_dressed)
     # bounded_nemytskii: one synthesis of S_n u, one analysis of the mixed field
     basis = ops.basis
-    v_grid = basis.synthesize(ops.w * u)
-    sig = _sigma(v_grid)
-    g_grids = _nemytskii_grid_cache(ops)
-    mix = np.tensordot(dWt, g_grids, axes=(1, 0))
+    sig = sigma_saturating(basis.synthesize(ops.w * u))
+    mix = np.tensordot(dWt, G.g_grids, axes=(1, 0))
     return -1j * ops.w * basis.analyze(sig * mix)
-
-
-def _sigma(z: np.ndarray) -> np.ndarray:
-    return z / np.sqrt(1.0 + np.abs(z) ** 2)
-
-
-# keyed by id(ops); the ops object is pinned in the entry so ids stay unique
-_nemytskii_cache: dict = {}
-
-
-def _nemytskii_grid_cache(ops: GalerkinOps) -> np.ndarray:
-    hit = _nemytskii_cache.get(id(ops))
-    if hit is None:
-        grids = ops.basis.synthesize(ops.G.g_coeffs)
-        if len(_nemytskii_cache) > 8:
-            _nemytskii_cache.clear()
-        hit = (ops, grids)
-        _nemytskii_cache[id(ops)] = hit
-    return hit[1]
 
 
 def _nonlinear_coeffs(u: np.ndarray, ops: GalerkinOps, alpha: float) -> np.ndarray:
@@ -356,23 +353,26 @@ def _snapshot_steps(cfg: SdeConfig) -> np.ndarray:
     return np.array(steps, dtype=int)
 
 
-def _observe_batch(u: np.ndarray, cfg: SdeConfig, ops: GalerkinOps) -> Dict[str, np.ndarray]:
+def state_functionals(u: np.ndarray, basis: EigenBasis, alpha: float) -> Dict[str, np.ndarray]:
+    """mass, energy, v_norm_sq, z and the L^{alpha+1} norm of a batch of states."""
     absq = u.real ** 2 + u.imag ** 2
     mass = absq.sum(axis=-1)
-    vsq = ((1.0 + ops.basis.a_eigs) * absq).sum(axis=-1)
-    grid = ops.basis.synthesize(u)
-    powsum = ops.basis.quad_weight * np.sum(
-        np.abs(grid) ** (cfg.alpha + 1.0), axis=tuple(range(-ops.basis.dim, 0)))
-    fhat = powsum / (cfg.alpha + 1.0)
-    energy = 0.5 * (ops.basis.a_eigs * absq).sum(axis=-1) + fhat
+    powsum = basis.quad_weight * np.sum(
+        np.abs(basis.synthesize(u)) ** (alpha + 1.0), axis=tuple(range(-basis.dim, 0)))
+    energy = 0.5 * (basis.a_eigs * absq).sum(axis=-1) + powsum / (alpha + 1.0)
     return {
         "mass": mass,
         "energy": energy,
-        "v_norm_sq": vsq,
+        "v_norm_sq": ((1.0 + basis.a_eigs) * absq).sum(axis=-1),
         "z": mass + 2.0 * energy,
-        "l_alpha1_norm": powsum ** (1.0 / (cfg.alpha + 1.0)),
-        "hs_norm_sq": hs_norm_sq_batch(u, ops.G, ops.basis, dress=ops.w),
+        "l_alpha1_norm": powsum ** (1.0 / (alpha + 1.0)),
     }
+
+
+def _observe_batch(u: np.ndarray, cfg: SdeConfig, ops: GalerkinOps) -> Dict[str, np.ndarray]:
+    obs = state_functionals(u, ops.basis, cfg.alpha)
+    obs["hs_norm_sq"] = hs_norm_sq_batch(u, ops.G, ops.basis, dress=ops.w)
+    return obs
 
 
 def _prepare_initial(initial, cfg: SdeConfig, ops: GalerkinOps,
@@ -402,7 +402,6 @@ def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
     share one stream (common-noise experiments). path_indices names the
     streams, not the paths.
     """
-    cfg = cfg.validated()
     P = u0_batch.shape[0]
     if stream_slots is None:
         stream_slots = np.arange(P)
@@ -466,7 +465,6 @@ def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
 def simulate(cfg: SdeConfig, initial: SpectralField,
              collect_states: bool = False) -> TrajectoryRecord:
     """Integrate one trajectory (path_index 0 of the config seed)."""
-    cfg = cfg.validated()
     ops = build_operators(cfg)
     u0 = _prepare_initial(initial, cfg, ops, [0])
     times, tables, u, states = integrate_paths(cfg, ops, u0, [0],
@@ -478,7 +476,11 @@ def simulate(cfg: SdeConfig, initial: SpectralField,
 
 
 class _MomentAccumulator:
-    """Chunk-merged count/mean/M2 (Chan's parallel update), order-insensitive to fp."""
+    """Chunk-merged count/mean/M2 (Chan's parallel update).
+
+    Merged in chunk order, so the result is deterministic for a fixed chunk
+    size; a different chunking or merge order changes the last bits.
+    """
 
     def __init__(self):
         self.n = 0
@@ -507,7 +509,6 @@ class _MomentAccumulator:
 def simulate_ensemble(cfg: SdeConfig, initial, n_paths: Optional[int] = None,
                       chunk_size: int = 2048) -> EnsembleReport:
     """Monte Carlo ensemble; initial may be a SpectralField or a path_index -> field factory."""
-    cfg = cfg.validated()
     n_paths = cfg.paths if n_paths is None else int(n_paths)
     if n_paths < 1:
         raise ConfigurationError("ensemble.paths must be at least 1")
@@ -539,12 +540,26 @@ def simulate_ensemble(cfg: SdeConfig, initial, n_paths: Optional[int] = None,
 def _budget_residual_batch(times: np.ndarray, tables: Dict[str, np.ndarray],
                            cfg: SdeConfig) -> np.ndarray:
     """mass(t) - mass(0) + 2 beta int mass - int hs, trapezoid on the snapshot grid."""
-    from scipy.integrate import cumulative_trapezoid
     mass = tables["mass"]
     hs = tables["hs_norm_sq"]
-    int_mass = cumulative_trapezoid(mass, times, axis=-1, initial=0.0)
-    int_hs = cumulative_trapezoid(hs, times, axis=-1, initial=0.0)
+    int_mass = cumulative_trapezoid(mass, times)
+    int_hs = cumulative_trapezoid(hs, times)
     return mass - mass[..., :1] + 2.0 * cfg.beta * int_mass - int_hs
+
+
+def cumulative_trapezoid(y: np.ndarray, x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Running trapezoid integral of y over the 1-D grid x along axis, starting at 0.
+
+    The arithmetic of SciPy's cumulative_trapezoid(..., initial=0), so
+    results match it bit for bit.
+    """
+    y = np.asarray(y)
+    axis = axis % y.ndim
+    head = (slice(None),) * axis
+    d = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1 - axis))
+    res = np.cumsum(d * (y[head + (slice(1, None),)] + y[head + (slice(None, -1),)]) / 2.0,
+                    axis=axis)
+    return np.concatenate([np.zeros_like(y[head + (slice(0, 1),)]), res], axis=axis)
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,14 @@ from dataclasses import dataclass, replace as dc_replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import trapezoid
-from scipy.stats import ks_2samp
 
 from .spectral import SpectralField
-from .operators import make_noise_G
 from .dynamics import (
     ConfigurationError,
     EnsembleReport,
     SdeConfig,
     TrajectoryRecord,
+    build_operators,
     simulate,
 )
 
@@ -80,6 +78,23 @@ class TightnessProfile:
     fractions: np.ndarray
 
 
+def trapezoid(y: np.ndarray, x: np.ndarray) -> float:
+    """Trapezoid integral of y over the grid x (SciPy's trapezoid arithmetic)."""
+    return float(np.sum(np.diff(x) * (y[1:] + y[:-1]) / 2.0))
+
+
+def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov distance sup_x |F_a(x) - F_b(x)|.
+
+    Evaluated at every sample point, as SciPy's ks_2samp does, so ties
+    and saturated samples give its statistic exactly.
+    """
+    a, b = np.sort(a), np.sort(b)
+    both = np.concatenate([a, b])
+    return float(np.max(np.abs(np.searchsorted(a, both, side="right") / len(a)
+                               - np.searchsorted(b, both, side="right") / len(b))))
+
+
 def _window_average(times: np.ndarray, values: np.ndarray, t0: float, t1: float) -> float:
     lo = int(np.searchsorted(times, t0, side="left"))
     hi = int(np.searchsorted(times, t1, side="right"))
@@ -88,7 +103,7 @@ def _window_average(times: np.ndarray, values: np.ndarray, t0: float, t1: float)
         raise ConfigurationError("averaging window contains no snapshots")
     if len(sel_t) == 1 or sel_t[-1] == sel_t[0]:
         return float(sel_v[0])
-    return float(trapezoid(sel_v, sel_t) / (sel_t[-1] - sel_t[0]))
+    return trapezoid(sel_v, sel_t) / (sel_t[-1] - sel_t[0])
 
 
 def time_average(record: TrajectoryRecord, phi, burn_in: float,
@@ -152,7 +167,6 @@ def invariant_fingerprint(cfg: SdeConfig, initial_data: Sequence[Tuple[str, Spec
         raise ConfigurationError("fingerprint needs at least 2 initial data")
     if t_final is not None:
         cfg = dc_replace(cfg, t_final=float(t_final))
-    cfg = cfg.validated()
     records = [(tag, simulate(cfg, field)) for tag, field in initial_data]
     burn_in = cfg.burn_in_fraction * cfg.t_final
 
@@ -176,8 +190,7 @@ def invariant_fingerprint(cfg: SdeConfig, initial_data: Sequence[Tuple[str, Spec
         for a in range(n):
             for b in range(a + 1, n):
                 pairwise[i] = max(pairwise[i], abs(values[i, a] - values[i, b]))
-                ks[i] = max(ks[i], float(ks_2samp(samples[i][a], samples[i][b],
-                                                  method="asymp").statistic))
+                ks[i] = max(ks[i], ks_statistic(samples[i][a], samples[i][b]))
     return FingerprintReport(phis=phis, tags=tags, values=values,
                              pairwise_max=pairwise, ks_max=ks,
                              window=(burn_in, cfg.t_final))
@@ -206,7 +219,7 @@ def decay_rate_fit(report: EnsembleReport, cfg: Optional[SdeConfig] = None) -> D
     snapshot noise is serially correlated and WLS alone would understate it.
     """
     cfg = report.cfg if cfg is None else cfg
-    G = _g_constants_for(cfg)
+    G = build_operators(cfg).G
     if G.C1 != 0.0:
         raise ConfigurationError(
             f"decay-rate fit requires C1 = 0, but C1 = {G.C1:.6g} "
@@ -253,9 +266,3 @@ def decay_rate_fit(report: EnsembleReport, cfg: Optional[SdeConfig] = None) -> D
                         ci=(float(slope - 1.96 * se_slope), float(slope + 1.96 * se_slope)),
                         n_points=len(t), window=(float(t[0]), float(t[-1])),
                         warning=warning, message=msg)
-
-
-def _g_constants_for(cfg: SdeConfig):
-    from .spectral import make_basis
-    basis = make_basis(cfg.domain_kind, cfg.modes_per_axis, cfg.oversample)
-    return make_noise_G(basis, cfg.g_variant, cfg.g_params, cfg.alpha)

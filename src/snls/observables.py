@@ -15,20 +15,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-from .spectral import EigenBasis, SpectralField, h_norm_sq, make_basis
-from .operators import antiderivative_F, make_noise_G
+from .spectral import SpectralField, h_norm_sq
+from .operators import _check_alpha
 from .dynamics import (
     ConfigurationError,
     EnsembleReport,
     SdeConfig,
     TrajectoryRecord,
+    _budget_residual_batch,
     build_operators,
+    cumulative_trapezoid,
     integrate_paths,
+    state_functionals,
 )
 
 
@@ -44,30 +46,16 @@ class ObservableSample:
 
 def observe(u: SpectralField, alpha: float, t: float = 0.0) -> ObservableSample:
     """Pure evaluation of the five functionals at one state."""
-    c = u.coeffs
-    absq = c.real ** 2 + c.imag ** 2
-    mass = float(absq.sum())
-    a = u.basis.a_eigs
-    fhat = antiderivative_F(u, alpha)
-    energy = 0.5 * float((a * absq).sum()) + fhat
-    vsq = float(((1.0 + a) * absq).sum())
-    grid = u.basis.synthesize(c)
-    lnorm = float(u.basis.quad_weight * np.sum(np.abs(grid) ** (alpha + 1.0))) \
-        ** (1.0 / (alpha + 1.0))
-    return ObservableSample(t=t, mass=mass, energy=energy, v_norm_sq=vsq,
-                            z=mass + 2.0 * energy, l_alpha1_norm=lnorm)
+    _check_alpha(alpha)
+    values = state_functionals(u.coeffs[None, :], u.basis, alpha)
+    return ObservableSample(t=t, **{name: float(v[0]) for name, v in values.items()})
 
 
 def mass_budget_residual(record: TrajectoryRecord,
                          cfg: Optional[SdeConfig] = None) -> np.ndarray:
     """residual(t) = mass(t) - mass(0) + 2 beta int_0^t mass - int_0^t hs_norm_sq."""
-    cfg = record.cfg if cfg is None else cfg
-    mass = record.table["mass"]
-    hs = record.table["hs_norm_sq"]
-    t = record.times
-    int_mass = cumulative_trapezoid(mass, t, initial=0.0)
-    int_hs = cumulative_trapezoid(hs, t, initial=0.0)
-    return mass - mass[0] + 2.0 * cfg.beta * int_mass - int_hs
+    return _budget_residual_batch(record.times, record.table,
+                                  record.cfg if cfg is None else cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -84,16 +72,11 @@ class SupermartingaleTrace:
     lam: float
 
 
-def _g_constants(cfg: SdeConfig):
-    basis = make_basis(cfg.domain_kind, cfg.modes_per_axis, cfg.oversample)
-    return make_noise_G(basis, cfg.g_variant, cfg.g_params, cfg.alpha)
-
-
 def supermartingale_trace(report: EnsembleReport, lam: float,
                           cfg: Optional[SdeConfig] = None) -> SupermartingaleTrace:
     """Trace of E[e^{lambda t} ||u||^2_H]; requires C1 = 0 and lambda < 2 beta - C1~^2."""
     cfg = report.cfg if cfg is None else cfg
-    G = _g_constants(cfg)
+    G = build_operators(cfg).G
     if G.C1 != 0.0:
         raise ConfigurationError(
             f"supermartingale trace requires C1 = 0, but C1 = {G.C1:.6g} "
@@ -143,7 +126,6 @@ def contraction_diagnostic(u10: SpectralField, u20: SpectralField,
     sup-norm terms dropped in linear test mode (they bound the nonlinearity's
     local Lipschitz constant); D(t) = exp(-int_0^t psi) ||u1 - u2||^2_H.
     """
-    cfg = cfg.validated()
     P = cfg.paths if n_pairs is None else int(n_pairs)
     ops = build_operators(cfg)
     u1 = np.asarray(u10.coeffs, dtype=np.complex128) * ops.maskf
@@ -170,7 +152,7 @@ def contraction_diagnostic(u10: SpectralField, u20: SpectralField,
             + ops.G.L_G
     else:
         psi = np.full((len(times), P), ops.G.L_G - 2.0 * cfg.beta)
-    int_psi = cumulative_trapezoid(psi, times, axis=0, initial=0.0)
+    int_psi = cumulative_trapezoid(psi, times, axis=0)
     d = np.exp(-int_psi) * dist_arr
     d_mean = d.mean(axis=1)
     d_std = d.std(axis=1, ddof=1) if P > 1 else np.zeros(len(times))

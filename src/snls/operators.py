@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import ast
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .spectral import EigenBasis, SpectralField, BasisError
+from .spectral import EigenBasis, SpectralField
 
 logger = logging.getLogger(__name__)
 
@@ -263,6 +263,7 @@ class StateNoiseG:
     C3: float
     C3t: float
     L_G: float
+    g_grids: Optional[np.ndarray] = None   # g_coeffs synthesized on the grid, (M~,) + grid
 
     @property
     def n_modes(self) -> int:
@@ -317,12 +318,14 @@ def make_noise_G(basis: EigenBasis, variant: str, params: Sequence[float],
                            C1=0.0, C1t=c1t, C2=0.0, C2t=c1t, C3=0.0, C3t=c1t, L_G=c1t)
 
     g = _eigenmode_fields(basis, params)
-    fields = [SpectralField(g[m], basis) for m in range(len(params))]
-    from .spectral import norms as _norms   # local import avoids a cycle at module load
-    h_sq = np.array([_norms(f).h_norm_sq for f in fields])
-    v_sq = np.array([_norms(f).v_norm_sq for f in fields])
-    lp = np.array([_norms(f).lp_norm(alpha + 1.0) for f in fields])
-    linf = np.array([float(np.max(np.abs(basis.synthesize(g[m])))) for m in range(len(params))])
+    g_grids = basis.synthesize(g)
+    absq = np.abs(g) ** 2
+    h_sq = np.sum(absq, axis=1)
+    v_sq = np.sum((1.0 + basis.a_eigs) * absq, axis=1)
+    grid_axes = tuple(range(1, g_grids.ndim))
+    lp = (basis.quad_weight * np.sum(np.abs(g_grids) ** (alpha + 1.0), axis=grid_axes)) \
+        ** (1.0 / (alpha + 1.0))
+    linf = np.max(np.abs(g_grids), axis=grid_axes)
 
     if variant == "additive":
         return StateNoiseG(variant, params, g, None,
@@ -332,7 +335,8 @@ def make_noise_G(basis: EigenBasis, variant: str, params: Sequence[float],
                            C2t=0.0,
                            C3=float(np.sqrt(np.sum(lp ** 2))),
                            C3t=0.0,
-                           L_G=0.0)
+                           L_G=0.0,
+                           g_grids=g_grids)
 
     # bounded_nemytskii: |sigma| <= 1 gives the bounded assignment;
     # the V growth splits into sigma(u) grad g + g sigma'(u) grad u.
@@ -343,7 +347,8 @@ def make_noise_G(basis: EigenBasis, variant: str, params: Sequence[float],
                        C2t=float(SIGMA_LIP * np.sqrt(np.sum(linf ** 2))),
                        C3=float(SIGMA_BOUND * np.sqrt(np.sum(lp ** 2))),
                        C3t=0.0,
-                       L_G=float(SIGMA_LIP * np.sqrt(np.sum(linf ** 2))))
+                       L_G=float(SIGMA_LIP * np.sqrt(np.sum(linf ** 2))),
+                       g_grids=g_grids)
 
 
 def g_fields_batch(coeffs: np.ndarray, G: StateNoiseG, basis: EigenBasis) -> np.ndarray:
@@ -356,12 +361,10 @@ def g_fields_batch(coeffs: np.ndarray, G: StateNoiseG, basis: EigenBasis) -> np.
                                (G.n_modes,) + coeffs.shape)
     if G.variant == "linear_diagonal":
         return G.gammas.reshape((-1,) + (1,) * coeffs.ndim) * coeffs[None, ...]
-    grid = basis.synthesize(coeffs)
-    sig = sigma_saturating(grid)
-    g_grids = basis.synthesize(G.g_coeffs)          # (M~, grid)
+    sig = sigma_saturating(basis.synthesize(coeffs))
     out = np.empty((G.n_modes,) + coeffs.shape, dtype=np.complex128)
     for m in range(G.n_modes):
-        out[m] = basis.analyze(sig * g_grids[m])
+        out[m] = basis.analyze(sig * G.g_grids[m])
     return out
 
 

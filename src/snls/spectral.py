@@ -9,16 +9,22 @@ positive operator used for the dyadic projection machinery:
     neumann:   S = eps*I - Laplacian_N, eps = 1, so s_k = 1 + |k|^2
 
 Fields are stored as complex coefficient vectors over an orthonormal
-eigenfunction family h_k; transforms to and from a fixed quadrature grid are
-FFT-based (complex exponentials on the torus, DST-I / DCT-II on the boxes)
-and are exact on band-limited fields.  All transforms accept leading batch
-axes, so an ensemble of coefficient vectors transforms in one call.
+eigenfunction family h_k.  Every basis is a tensor product of one 1-D family
+per axis, so a basis is a table of per-axis entries (wavenumbers, nodes,
+measure, grid length and a 1-D transform pair: complex FFT on the torus,
+DST-I on Dirichlet boxes, DCT-III/DCT-II on Neumann boxes).  Synthesis walks
+the table last axis first, zero-padding each axis from its modes to its grid
+before transforming; analysis transforms and truncates back in the same
+order.  The transforms are exact on band-limited fields and accept leading
+batch axes, so an ensemble of coefficient vectors transforms in one call.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 import scipy.fft
@@ -30,6 +36,40 @@ NEUMANN_EPS = 1.0
 
 class BasisError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class AxisTransform:
+    """One axis of a separable basis: stored modes, grid nodes and 1-D transform pair."""
+
+    ks: np.ndarray                   # wavenumbers of the stored modes, in storage order
+    nodes: np.ndarray                # grid node coordinates
+    measure: float                   # length of the interval
+    n_grid: int
+    slots: Union[np.ndarray, slice]  # place of each stored mode in the transform's spectrum
+    forward: Callable                # spectrum -> grid values along `axis=`
+    backward: Callable               # grid values -> spectrum along `axis=`
+    synth_weight: Optional[np.ndarray] = None     # per-mode factor before `forward`
+    analyze_weight: Optional[np.ndarray] = None   # per-mode factor after `backward`
+
+    def synthesize(self, x: np.ndarray, axis: int) -> np.ndarray:
+        """Zero-pad `axis` from the stored modes to the grid spectrum, then transform."""
+        trailing = -1 - axis
+        if self.synth_weight is not None:
+            x = x * self.synth_weight.reshape((-1,) + (1,) * trailing)
+        shape = list(x.shape)
+        shape[axis] = self.n_grid
+        buf = np.zeros(shape, dtype=np.complex128)
+        buf[(Ellipsis, self.slots) + (slice(None),) * trailing] = x
+        return self.forward(buf, axis=axis)
+
+    def analyze(self, x: np.ndarray, axis: int) -> np.ndarray:
+        """Transform `axis` and truncate its spectrum to the stored modes."""
+        trailing = -1 - axis
+        hat = self.backward(x, axis=axis)[(Ellipsis, self.slots) + (slice(None),) * trailing]
+        if self.analyze_weight is not None:
+            hat = hat * self.analyze_weight.reshape((-1,) + (1,) * trailing)
+        return hat
 
 
 @dataclass(frozen=True)
@@ -47,6 +87,9 @@ class EigenBasis:
     grid_axes: Tuple[np.ndarray, ...]   # 1d node coordinates per axis
     quad_weight: float          # uniform quadrature weight per node
     domain_measure: float
+    axes: Tuple[AxisTransform, ...] = field(repr=False)
+    synth_scale: float          # overall factor of synthesize, after every axis
+    analyze_scale: float        # overall factor of analyze, after every axis
 
     @property
     def n_modes(self) -> int:
@@ -61,14 +104,22 @@ class EigenBasis:
         if coeffs.shape[-1] != self.n_modes:
             raise BasisError(
                 f"coefficient length {coeffs.shape[-1]} does not match basis with {self.n_modes} modes")
-        return _SYNTH[self.kind](self, np.asarray(coeffs, dtype=np.complex128))
+        x = np.asarray(coeffs, dtype=np.complex128)
+        x = x.reshape(x.shape[:-1] + (self.modes_per_axis,) * self.dim)
+        for axis in range(-1, -self.dim - 1, -1):
+            x = self.axes[axis].synthesize(x, axis)
+        return x * self.synth_scale
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         """Quadrature inner products <f, h_k>; exact for band-limited f."""
         if values.shape[-self.dim:] != self.grid_shape:
             raise BasisError(
                 f"grid shape {values.shape[-self.dim:]} does not match basis grid {self.grid_shape}")
-        return _ANALYZE[self.kind](self, np.asarray(values, dtype=np.complex128))
+        x = np.asarray(values, dtype=np.complex128)
+        for axis in range(-1, -self.dim - 1, -1):
+            x = self.axes[axis].analyze(x, axis)
+        x = x * self.analyze_scale
+        return x.reshape(x.shape[:-self.dim] + (self.n_modes,))
 
 
 @dataclass
@@ -93,6 +144,40 @@ class SpectralField:
 # ---------------------------------------------------------------------------
 # construction
 
+_dst1 = functools.partial(scipy.fft.dst, type=1)
+
+
+def _axis_table(family: str, M: int, N: int, dim: int):
+    """Per-axis entry of one family on N = oversample * M points, with its
+    overall synthesis and analysis scales and the S-shift of the spectrum."""
+    if family == "torus":
+        # h_k(x) = exp(i k x) / sqrt(2 pi); the FFT layout stores k = 0, .., M/2-1, -M/2, .., -1
+        ks = np.fft.fftfreq(M, d=1.0 / M).astype(int)
+        ax = AxisTransform(ks, np.arange(N) * (2.0 * np.pi / N), 2.0 * np.pi, N,
+                           np.mod(ks, N), np.fft.ifft, np.fft.fft)
+        norm = (2.0 * np.pi) ** (dim / 2.0)
+        return ax, N ** dim / norm, norm / N ** dim, 1.0
+    if family == "dirichlet":
+        # h_k(x) = sqrt(2/pi) sin(k x); DST-I on the N-1 interior nodes gives
+        # exact discrete orthogonality
+        ax = AxisTransform(np.arange(1, M + 1), np.arange(1, N) * (np.pi / N), np.pi, N - 1,
+                           slice(0, M), _dst1, _dst1)
+        synth = 1.0 / np.sqrt(2.0 * np.pi)          # sqrt(2/pi) * (1/2)
+        analyze = np.sqrt(2.0 * np.pi) / (2.0 * N)  # (pi/N) * sqrt(2/pi) / 2
+        return ax, synth ** dim, analyze ** dim, 0.0
+    # neumann: h_0 = 1/sqrt(pi), h_k = sqrt(2/pi) cos(k x); midpoint nodes give
+    # exact discrete cosine orthogonality for the DCT-III/DCT-II pair
+    nf = np.full(M, np.sqrt(2.0 / np.pi))
+    nf[0] = 1.0 / np.sqrt(np.pi)
+    half = np.full(M, 0.5)
+    half[0] = 1.0
+    ax = AxisTransform(np.arange(M), (np.arange(N) + 0.5) * (np.pi / N), np.pi, N,
+                       slice(0, M), functools.partial(scipy.fft.dct, type=3),
+                       functools.partial(scipy.fft.dct, type=2),
+                       synth_weight=nf * half, analyze_weight=nf * (np.pi / (2.0 * N)))
+    return ax, 1.0, 1.0, NEUMANN_EPS
+
+
 def make_basis(kind: str, modes_per_axis: int, oversample: int = 2) -> EigenBasis:
     if kind not in BASIS_KINDS:
         raise BasisError(f"unknown basis kind {kind!r}; expected one of {BASIS_KINDS}")
@@ -103,198 +188,29 @@ def make_basis(kind: str, modes_per_axis: int, oversample: int = 2) -> EigenBasi
     if kind.startswith("torus") and modes_per_axis % 2 != 0:
         raise BasisError("torus bases require an even modes_per_axis (FFT layout)")
 
-    dim = 2 if kind.endswith("2d") else 1
+    dim = int(kind[-2])
     M = modes_per_axis
     N = oversample * M
-
-    if kind.startswith("torus"):
-        ks = np.fft.fftfreq(M, d=1.0 / M).astype(int)       # 0, 1, .., M/2-1, -M/2, .., -1
-        axis_nodes = np.arange(N) * (2.0 * np.pi / N)
-        measure_axis = 2.0 * np.pi
-        grid_per_axis = N
-    elif kind.startswith("dirichlet"):
-        ks = np.arange(1, M + 1)
-        axis_nodes = np.arange(1, N) * (np.pi / N)          # interior nodes only
-        measure_axis = np.pi
-        grid_per_axis = N - 1
-    else:  # neumann, midpoint rule for exact discrete cosine orthogonality
-        ks = np.arange(M)
-        axis_nodes = (np.arange(N) + 0.5) * (np.pi / N)
-        measure_axis = np.pi
-        grid_per_axis = N
-
-    if dim == 1:
-        modes = tuple((int(k),) for k in ks)
-        ksq = ks.astype(float) ** 2
-        grid_shape = (grid_per_axis,)
-        grid_axes = (axis_nodes,)
-    else:
-        k1, k2 = np.meshgrid(ks, ks, indexing="ij")
-        modes = tuple((int(a), int(b)) for a, b in zip(k1.ravel(), k2.ravel()))
-        ksq = (k1.astype(float) ** 2 + k2.astype(float) ** 2).ravel()
-        grid_shape = (grid_per_axis, grid_per_axis)
-        grid_axes = (axis_nodes, axis_nodes)
-
-    a_eigs = ksq
-    if kind.startswith("dirichlet"):
-        s_eigs = ksq.copy()
-    else:
-        s_eigs = 1.0 + ksq if kind.startswith("torus") else NEUMANN_EPS + ksq
-
-    quad_weight = (measure_axis / N) ** dim
+    ax, synth_scale, analyze_scale, s_shift = _axis_table(kind[:-2], M, N, dim)
+    axes = (ax,) * dim
+    ksq = functools.reduce(np.add.outer, [a.ks.astype(float) ** 2 for a in axes]).ravel()
     return EigenBasis(
         kind=kind,
         modes_per_axis=M,
         oversample=oversample,
         dim=dim,
-        mode_index_set=modes,
-        a_eigs=a_eigs,
-        s_eigs=s_eigs,
-        grid_shape=grid_shape,
-        grid_axes=grid_axes,
-        quad_weight=quad_weight,
-        domain_measure=measure_axis ** dim,
+        mode_index_set=tuple(tuple(int(k) for k in ks)
+                             for ks in itertools.product(*(a.ks for a in axes))),
+        a_eigs=ksq,
+        s_eigs=s_shift + ksq,
+        grid_shape=tuple(a.n_grid for a in axes),
+        grid_axes=tuple(a.nodes for a in axes),
+        quad_weight=(ax.measure / N) ** dim,
+        domain_measure=ax.measure ** dim,
+        axes=axes,
+        synth_scale=synth_scale,
+        analyze_scale=analyze_scale,
     )
-
-
-# ---------------------------------------------------------------------------
-# torus transforms: h_k(x) = exp(i k.x) / (2 pi)^{d/2}
-
-def _torus_positions(basis: EigenBasis) -> np.ndarray:
-    N = basis.oversample * basis.modes_per_axis
-    ks = np.array([m[0] for m in basis.mode_index_set]) if basis.dim == 1 else None
-    if basis.dim == 1:
-        return np.mod(ks, N)
-    k = np.array(basis.mode_index_set)
-    return np.mod(k[:, 0], N) * N + np.mod(k[:, 1], N)
-
-
-def _synth_torus(basis: EigenBasis, coeffs: np.ndarray) -> np.ndarray:
-    N = basis.oversample * basis.modes_per_axis
-    pos = _torus_pos_cache(basis)
-    lead = coeffs.shape[:-1]
-    buf = np.zeros(lead + (N ** basis.dim,), dtype=np.complex128)
-    buf[..., pos] = coeffs
-    norm = (2.0 * np.pi) ** (basis.dim / 2.0)
-    if basis.dim == 1:
-        return np.fft.ifft(buf, axis=-1) * (N / norm)
-    buf = buf.reshape(lead + (N, N))
-    return np.fft.ifft2(buf, axes=(-2, -1)) * (N * N / norm)
-
-
-def _analyze_torus(basis: EigenBasis, values: np.ndarray) -> np.ndarray:
-    N = basis.oversample * basis.modes_per_axis
-    pos = _torus_pos_cache(basis)
-    norm = (2.0 * np.pi) ** (basis.dim / 2.0)
-    if basis.dim == 1:
-        hat = np.fft.fft(values, axis=-1)
-        return hat[..., pos] * (norm / N)
-    hat = np.fft.fft2(values, axes=(-2, -1))
-    lead = values.shape[:-2]
-    return hat.reshape(lead + (N * N,))[..., pos] * (norm / (N * N))
-
-
-_pos_cache: dict = {}
-
-
-def _torus_pos_cache(basis: EigenBasis) -> np.ndarray:
-    key = (basis.kind, basis.modes_per_axis, basis.oversample)
-    if key not in _pos_cache:
-        _pos_cache[key] = _torus_positions(basis)
-    return _pos_cache[key]
-
-
-# ---------------------------------------------------------------------------
-# Dirichlet transforms: h_k(x) = sqrt(2/pi) sin(k x) per axis on (0, pi)
-# DST-I on the N-1 interior nodes gives exact discrete orthogonality.
-
-def _dst1(values: np.ndarray, axis: int) -> np.ndarray:
-    return scipy.fft.dst(values, type=1, axis=axis)
-
-
-def _synth_dirichlet(basis: EigenBasis, coeffs: np.ndarray) -> np.ndarray:
-    M = basis.modes_per_axis
-    n_axis = basis.grid_shape[0]
-    factor = 1.0 / np.sqrt(2.0 * np.pi)      # sqrt(2/pi) * (1/2)
-    if basis.dim == 1:
-        buf = np.zeros(coeffs.shape[:-1] + (n_axis,), dtype=np.complex128)
-        buf[..., :M] = coeffs
-        return _dst1(buf, -1) * factor
-    lead = coeffs.shape[:-1]
-    buf = np.zeros(lead + (n_axis, n_axis), dtype=np.complex128)
-    buf[..., :M, :M] = coeffs.reshape(lead + (M, M))
-    return _dst1(_dst1(buf, -1), -2) * factor ** 2
-
-
-def _analyze_dirichlet(basis: EigenBasis, values: np.ndarray) -> np.ndarray:
-    M = basis.modes_per_axis
-    N = basis.oversample * basis.modes_per_axis
-    factor = np.sqrt(2.0 * np.pi) / (2.0 * N)   # (pi/N) * sqrt(2/pi) / 2
-    if basis.dim == 1:
-        return _dst1(values, -1)[..., :M] * factor
-    hat = _dst1(_dst1(values, -1), -2)[..., :M, :M] * factor ** 2
-    return hat.reshape(values.shape[:-2] + (M * M,))
-
-
-# ---------------------------------------------------------------------------
-# Neumann transforms: h_0 = 1/sqrt(pi), h_k = sqrt(2/pi) cos(k x) per axis,
-# midpoint nodes, DCT-II/DCT-III pair.
-
-def _neumann_norm_factors(basis: EigenBasis) -> np.ndarray:
-    M = basis.modes_per_axis
-    nf = np.full(M, np.sqrt(2.0 / np.pi))
-    nf[0] = 1.0 / np.sqrt(np.pi)
-    return nf
-
-
-def _synth_neumann(basis: EigenBasis, coeffs: np.ndarray) -> np.ndarray:
-    M = basis.modes_per_axis
-    N = basis.oversample * basis.modes_per_axis
-    nf = _neumann_norm_factors(basis)
-
-    def one_axis(c, axis):
-        z = np.moveaxis(c, axis, -1).copy()
-        z *= nf
-        z[..., 1:] *= 0.5
-        buf = np.zeros(z.shape[:-1] + (N,), dtype=np.complex128)
-        buf[..., :M] = z
-        out = scipy.fft.dct(buf, type=3, axis=-1)
-        return np.moveaxis(out, -1, axis)
-
-    if basis.dim == 1:
-        return one_axis(coeffs, -1)
-    lead = coeffs.shape[:-1]
-    c2 = coeffs.reshape(lead + (M, M))
-    return one_axis(one_axis(c2, -1), -2)
-
-
-def _analyze_neumann(basis: EigenBasis, values: np.ndarray) -> np.ndarray:
-    M = basis.modes_per_axis
-    N = basis.oversample * basis.modes_per_axis
-    nf = _neumann_norm_factors(basis)
-
-    def one_axis(v, axis):
-        out = scipy.fft.dct(v, type=2, axis=axis)
-        out = np.moveaxis(out, axis, -1)[..., :M]
-        out = out * (nf * (np.pi / (2.0 * N)))
-        return np.moveaxis(out, -1, axis)
-
-    if basis.dim == 1:
-        return one_axis(values, -1)
-    hat = one_axis(one_axis(values, -1), -2)
-    return hat.reshape(values.shape[:-2] + (M * M,))
-
-
-_SYNTH = {
-    "torus1d": _synth_torus, "torus2d": _synth_torus,
-    "dirichlet1d": _synth_dirichlet, "dirichlet2d": _synth_dirichlet,
-    "neumann1d": _synth_neumann, "neumann2d": _synth_neumann,
-}
-_ANALYZE = {
-    "torus1d": _analyze_torus, "torus2d": _analyze_torus,
-    "dirichlet1d": _analyze_dirichlet, "dirichlet2d": _analyze_dirichlet,
-    "neumann1d": _analyze_neumann, "neumann2d": _analyze_neumann,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +241,7 @@ def apply_frac_power(u: SpectralField, which: str, exponent: float) -> SpectralF
         raise BasisError(f"which must be 'A' or 'S', got {which!r}")
     if exponent == 0.0:
         return SpectralField(u.coeffs.copy(), u.basis)
-    with np.errstate(divide="ignore"):
-        mult = np.where(eigs > 0.0, np.power(eigs, exponent, where=eigs > 0.0), 0.0)
+    mult = np.power(eigs, exponent, out=np.zeros_like(eigs), where=eigs > 0.0)
     return SpectralField(u.coeffs * mult, u.basis)
 
 

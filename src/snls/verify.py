@@ -15,7 +15,7 @@ import numpy as np
 from .spectral import (BASIS_KINDS, SpectralField, apply_frac_power, h_norm_sq,
                        make_basis, norms)
 from .operators import (antiderivative_F, apply_F, make_noise_B, make_noise_G,
-                        rho, sharp_projector, smoothed_projector,
+                        rho, smoothed_projector,
                         stratonovich_correction)
 from .dynamics import (ConfigurationError, SdeConfig, build_operators,
                        default_initial, simulate, simulate_ensemble)

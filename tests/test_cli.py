@@ -207,3 +207,12 @@ def test_installed_entry_point_smoke(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (out / "trajectory.csv").exists()
     assert "damping_term_v" in proc.stdout
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded():
+    # scipy.stats and scipy.integrate cost ~0.8 s of import for three formulas
+    code = ("import sys, snls, snls.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -18,11 +18,14 @@ from snls.ergodicity import (
     PHI_REGISTRY,
     decay_rate_fit,
     invariant_fingerprint,
+    ks_statistic,
     radius_indicator,
     resolve_phi,
     tightness_profile,
     time_average,
+    trapezoid,
 )
+from snls.dynamics import cumulative_trapezoid
 from snls.dynamics import TrajectoryRecord
 from snls.spectral import make_basis
 
@@ -239,3 +242,34 @@ def test_decay_rate_fit_preconditions():
         build_operators(cfg2).basis, cfg2.galerkin_level))
     with pytest.raises(ConfigurationError, match="at least 3"):
         decay_rate_fit(rep2)
+
+
+def test_numpy_quadrature_and_ks_match_scipy_exactly():
+    from scipy.integrate import cumulative_trapezoid as sp_cumtrapz
+    from scipy.integrate import trapezoid as sp_trapz
+    from scipy.stats import ks_2samp
+
+    rng = np.random.default_rng(8)
+    for trial in range(200):
+        n = int(rng.integers(2, 40))
+        t = np.cumsum(rng.uniform(0.01, 1.0, n))
+        y = rng.standard_normal((3, n))
+        assert trapezoid(y[0], t) == sp_trapz(y[0], t)
+        assert np.array_equal(cumulative_trapezoid(y, t),
+                              sp_cumtrapz(y, t, axis=-1, initial=0.0))
+        assert np.array_equal(cumulative_trapezoid(y.T, t, axis=0),
+                              sp_cumtrapz(y.T, t, axis=0, initial=0.0))
+        assert np.array_equal(cumulative_trapezoid(y[0], t),
+                              sp_cumtrapz(y[0], t, initial=0.0))
+
+        a = rng.standard_normal(int(rng.integers(1, 60)))
+        b = rng.standard_normal(int(rng.integers(1, 60))) + rng.uniform(-1, 1)
+        samples = [
+            (a, b),                                                  # continuous
+            (np.round(a, 1), np.round(b, 1)),                        # heavy ties
+            (np.minimum(np.abs(a), 1.0), np.minimum(np.abs(b), 1.0)),  # saturated at 1
+            ((a > 0).astype(float), (b > 0.5).astype(float)),        # indicator values
+            (np.ones(3), np.ones(5)),                                # identical constants
+        ]
+        for x1, x2 in samples:
+            assert ks_statistic(x1, x2) == ks_2samp(x1, x2, method="asymp").statistic

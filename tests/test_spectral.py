@@ -53,6 +53,46 @@ def test_mode_orthonormality(kind):
     assert np.max(np.abs(gram - eye)) < 1e-12
 
 
+def _dense_eigenfunctions(basis):
+    """h_k at every grid node from the closed forms, shape (n_modes,) + grid_shape."""
+    family = basis.kind[:-2]
+
+    def h1(k, x):
+        if family == "torus":
+            return np.exp(1j * k * x) / math.sqrt(2.0 * math.pi)
+        if family == "dirichlet":
+            return math.sqrt(2.0 / math.pi) * np.sin(k * x)
+        return (1.0 / math.sqrt(math.pi) if k == 0 else math.sqrt(2.0 / math.pi)) * np.cos(k * x)
+
+    rows = []
+    for mode in basis.mode_index_set:
+        h = np.ones(())
+        for k, x in zip(mode, basis.grid_axes):
+            h = np.multiply.outer(h, h1(k, x))
+        rows.append(h)
+    return np.array(rows, dtype=np.complex128)
+
+
+@pytest.mark.parametrize("kind", BASIS_KINDS)
+@pytest.mark.parametrize("lead", [(), (1,), (5,)])
+def test_batched_transforms_match_dense_eigenfunctions(kind, lead):
+    # synthesis is sum_k c_k h_k(x); analysis is the grid quadrature sum_x w f(x) conj(h_k(x))
+    basis = make_basis(kind, small(kind))
+    H = _dense_eigenfunctions(basis)
+    rng = np.random.default_rng(len(lead) + 3)
+    c = rng.standard_normal(lead + (basis.n_modes,)) + 1j * rng.standard_normal(lead + (basis.n_modes,))
+    f = rng.standard_normal(lead + basis.grid_shape) + 1j * rng.standard_normal(lead + basis.grid_shape)
+    grid_axes = tuple(range(1, H.ndim))
+    synth = basis.synthesize(c)
+    assert synth.shape == lead + basis.grid_shape
+    assert np.max(np.abs(synth - np.tensordot(c, H, axes=(-1, 0)))) < 1e-12
+    hat = basis.analyze(f)
+    want = basis.quad_weight * np.tensordot(f, H.conj(), axes=(
+        tuple(range(len(lead), f.ndim)), grid_axes))
+    assert hat.shape == lead + (basis.n_modes,)
+    assert np.max(np.abs(hat - want)) < 1e-12
+
+
 def test_torus_eigenvalues():
     basis = make_basis("torus1d", 8)
     table = {tuple(np.atleast_1d(k)): (a, s) for k, a, s in
