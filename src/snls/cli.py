@@ -30,7 +30,6 @@ from .dynamics import (
 from .observables import supermartingale_trace
 from .ergodicity import invariant_fingerprint
 from .config import (
-    ConfigError,
     RunManifest,
     compute_constants,
     config_checksum,
@@ -168,13 +167,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         cfg = parse_config(text)
+        # replace() re-runs SdeConfig's validation on the overridden values
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed override must be non-negative")
             cfg = replace(cfg, seed=args.seed)
         if args.paths is not None:
-            if args.paths < 1:
-                raise ConfigError("paths override must be at least 1")
             cfg = replace(cfg, paths=args.paths)
         constants = compute_constants(cfg)
     except (ConfigurationError, BasisError, OperatorError) as exc:

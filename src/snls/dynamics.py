@@ -24,7 +24,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +51,8 @@ SCHEMES = ("ito_exp_em", "strat_split")
 BLOWUP_V_NORM = 1e8
 _NOISE_STREAM = 0
 _INIT_STREAM = 2
+_RNG_BLOCK = 256          # steps drawn per driver call; the draws do not depend on it
+_ENSEMBLE_CHUNK = 2048    # paths simulate_ensemble integrates together
 
 
 class ConfigurationError(ValueError):
@@ -112,6 +114,9 @@ class SdeConfig:
             raise ConfigurationError("t_final must be non-negative")
         if self.t_final > 0.0 and self.dt > self.t_final:
             raise ConfigurationError("dt must not exceed t_final")
+        ratio = self.t_final / self.dt
+        if abs(ratio - round(ratio)) > 1e-6 * max(1.0, ratio):
+            raise ConfigurationError("t_final must be an integer multiple of dt")
         if self.galerkin_level < 0:
             raise ConfigurationError("galerkin.level must be non-negative")
         if self.scheme not in SCHEMES:
@@ -135,13 +140,7 @@ class SdeConfig:
 
     @property
     def n_steps(self) -> int:
-        if self.t_final == 0.0:
-            return 0
-        ratio = self.t_final / self.dt
-        n = round(ratio)
-        if n < 1 or abs(ratio - n) > 1e-6 * max(1.0, ratio):
-            raise ConfigurationError("t_final must be an integer multiple of dt")
-        return n
+        return round(self.t_final / self.dt)
 
 
 @dataclass
@@ -391,29 +390,30 @@ def _prepare_initial(initial, cfg: SdeConfig, ops: GalerkinOps,
 
 
 def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
-                    path_indices: Sequence[int],
-                    stream_slots: Optional[np.ndarray] = None,
-                    snapshot_hook: Optional[Callable] = None,
-                    collect_states: bool = False,
-                    rng_block: int = 256):
+                    streams: Sequence[int], collect_states: bool = False):
     """Advance a batch of paths in lockstep, sampling observables on the stride grid.
 
-    stream_slots maps each path to an increment stream; distinct paths may
-    share one stream (common-noise experiments). path_indices names the
-    streams, not the paths.
+    streams[r] is the noise-stream key of row r: the row is driven by the
+    Brownian increments of (cfg.seed, streams[r]).  Rows with the same key
+    share one driver and so see the same noise (common-noise pairs,
+    fingerprints from several initial data); an ensemble gives every row
+    its own key.  Returns (times, tables, final batch, states), where states
+    is (n_snap, P, n_modes) when collect_states is set and None otherwise.
     """
     P = u0_batch.shape[0]
-    if stream_slots is None:
-        stream_slots = np.arange(P)
-        if len(path_indices) != P:
-            raise ConfigurationError("one path_index per path is required")
+    if len(streams) != P:
+        raise ConfigurationError(f"one stream key per path is required: "
+                                 f"{len(streams)} keys for {P} paths")
+    # driver slot per distinct key, in first-seen order; slots[r] is row r's driver
+    index = {k: i for i, k in enumerate(dict.fromkeys(int(k) for k in streams))}
+    slots = np.array([index[int(k)] for k in streams])
     n_steps = cfg.n_steps
     snap_steps = _snapshot_steps(cfg)
     snapset = {int(s): i for i, s in enumerate(snap_steps)}
     stepper = _STEPPERS[cfg.scheme]
 
-    drivers = [BrownianDriver(cfg.seed, p, ops.B.n_modes, ops.G.n_modes, cfg.dt)
-               for p in path_indices]
+    drivers = [BrownianDriver(cfg.seed, k, ops.B.n_modes, ops.G.n_modes, cfg.dt)
+               for k in index]
 
     tables = {name: np.empty((P, len(snap_steps))) for name in OBSERVABLE_NAMES}
     states = np.empty((len(snap_steps), P, ops.basis.n_modes), dtype=np.complex128) \
@@ -430,14 +430,12 @@ def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
             tables[name][:, i] = obs[name]
         if collect_states:
             states[i] = u
-        if snapshot_hook is not None:
-            snapshot_hook(i, step * cfg.dt, u)
 
     record(0)
     step = 0
     nb, ng = ops.B.n_modes, ops.G.n_modes
     while step < n_steps:
-        block = min(rng_block, n_steps - step)
+        block = min(_RNG_BLOCK, n_steps - step)
         # increments per stream for this block: (n_streams, block, nb+ng)
         stream_inc = np.empty((len(drivers), block, nb + ng))
         for s, d in enumerate(drivers):
@@ -445,7 +443,7 @@ def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
             stream_inc[s, :, :nb] = dW
             stream_inc[s, :, nb:] = dWt
         for i in range(block):
-            inc_i = stream_inc[stream_slots, i]
+            inc_i = stream_inc[slots, i]
             u = stepper(u, inc_i[:, :nb], inc_i[:, nb:], cfg, ops)
             step += 1
             vsq = v_norm_sq(u, ops.basis)
@@ -467,8 +465,7 @@ def simulate(cfg: SdeConfig, initial: SpectralField,
     """Integrate one trajectory (path_index 0 of the config seed)."""
     ops = build_operators(cfg)
     u0 = _prepare_initial(initial, cfg, ops, [0])
-    times, tables, u, states = integrate_paths(cfg, ops, u0, [0],
-                                               collect_states=collect_states)
+    times, tables, u, states = integrate_paths(cfg, ops, u0, [0], collect_states)
     table = {name: tables[name][0] for name in OBSERVABLE_NAMES}
     return TrajectoryRecord(times=times, table=table,
                             final_state=SpectralField(u[0], ops.basis),
@@ -506,12 +503,12 @@ class _MomentAccumulator:
         return np.maximum(self.m2, 0.0) / (self.n - 1)
 
 
-def simulate_ensemble(cfg: SdeConfig, initial, n_paths: Optional[int] = None,
-                      chunk_size: int = 2048) -> EnsembleReport:
-    """Monte Carlo ensemble; initial may be a SpectralField or a path_index -> field factory."""
-    n_paths = cfg.paths if n_paths is None else int(n_paths)
-    if n_paths < 1:
-        raise ConfigurationError("ensemble.paths must be at least 1")
+def simulate_ensemble(cfg: SdeConfig, initial) -> EnsembleReport:
+    """Monte Carlo ensemble of cfg.paths paths, path p on noise stream p.
+
+    initial may be a SpectralField or a path_index -> field factory.
+    """
+    n_paths = cfg.paths
     ops = build_operators(cfg)
 
     accs = {name: _MomentAccumulator() for name in OBSERVABLE_NAMES}
@@ -519,7 +516,7 @@ def simulate_ensemble(cfg: SdeConfig, initial, n_paths: Optional[int] = None,
     lag_sum = None
     done = 0
     while done < n_paths:
-        pn = min(chunk_size, n_paths - done)
+        pn = min(_ENSEMBLE_CHUNK, n_paths - done)
         idx = list(range(done, done + pn))
         u0 = _prepare_initial(initial, cfg, ops, idx)
         times, tables, _, _ = integrate_paths(cfg, ops, u0, idx)

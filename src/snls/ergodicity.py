@@ -15,14 +15,16 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import dynamics
 from .spectral import SpectralField
 from .dynamics import (
+    OBSERVABLE_NAMES,
     ConfigurationError,
     EnsembleReport,
     SdeConfig,
     TrajectoryRecord,
+    _prepare_initial,
     build_operators,
-    simulate,
 )
 
 # Bounded functionals of the snapshot observables.  Each maps an observable
@@ -160,14 +162,24 @@ def invariant_fingerprint(cfg: SdeConfig, initial_data: Sequence[Tuple[str, Spec
                           ) -> FingerprintReport:
     """Time-averaged functionals per initial datum, with pairwise and KS discrepancies.
 
-    The Kolmogorov-Smirnov distance compares the empirical distributions of the
-    post-burn-in snapshot samples of each scalar functional across initial data.
+    All initial data run as one batch on noise stream 0, the stream `simulate`
+    uses, so they differ only in where they start.  The Kolmogorov-Smirnov
+    distance compares the empirical distributions of the post-burn-in snapshot
+    samples of each scalar functional across initial data.
     """
     if len(initial_data) < 2:
         raise ConfigurationError("fingerprint needs at least 2 initial data")
     if t_final is not None:
         cfg = dc_replace(cfg, t_final=float(t_final))
-    records = [(tag, simulate(cfg, field)) for tag, field in initial_data]
+    n = len(initial_data)
+    ops = build_operators(cfg)
+    u0 = _prepare_initial(lambda j: initial_data[j][1], cfg, ops, range(n))
+    # looked up on the module, so a wrapper installed there sees the call
+    times, tables, u, _ = dynamics.integrate_paths(cfg, ops, u0, [0] * n)
+    records = [(tag, TrajectoryRecord(times=times,
+                                      table={k: tables[k][j] for k in OBSERVABLE_NAMES},
+                                      final_state=SpectralField(u[j], ops.basis), cfg=cfg))
+               for j, (tag, _) in enumerate(initial_data)]
     burn_in = cfg.burn_in_fraction * cfg.t_final
 
     phis = tuple(phi_names)
@@ -183,7 +195,6 @@ def invariant_fingerprint(cfg: SdeConfig, initial_data: Sequence[Tuple[str, Spec
             row_samples.append(phi(rec.table)[keep])
         samples.append(row_samples)
 
-    n = len(tags)
     pairwise = np.zeros(len(phis))
     ks = np.zeros(len(phis))
     for i in range(len(phis)):

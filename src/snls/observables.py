@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .dynamics import (
     SdeConfig,
     TrajectoryRecord,
     _budget_residual_batch,
+    _prepare_initial,
     build_operators,
     cumulative_trapezoid,
     integrate_paths,
@@ -128,24 +129,16 @@ def contraction_diagnostic(u10: SpectralField, u20: SpectralField,
     """
     P = cfg.paths if n_pairs is None else int(n_pairs)
     ops = build_operators(cfg)
-    u1 = np.asarray(u10.coeffs, dtype=np.complex128) * ops.maskf
-    u2 = np.asarray(u20.coeffs, dtype=np.complex128) * ops.maskf
-    u0 = np.vstack([np.tile(u1, (P, 1)), np.tile(u2, (P, 1))])
-    slots = np.tile(np.arange(P), 2)
-
-    linf: List[np.ndarray] = []
-    distsq: List[np.ndarray] = []
-
-    def hook(i, t, u):
-        grid = ops.basis.synthesize(u)
-        axes = tuple(range(-ops.basis.dim, 0))
-        linf.append(np.max(np.abs(grid), axis=axes))
-        distsq.append(h_norm_sq(u[:P] - u[P:]))
-
-    times, _, _, _ = integrate_paths(cfg, ops, u0, list(range(P)),
-                                     stream_slots=slots, snapshot_hook=hook)
-    linf_arr = np.stack(linf)            # (n_snap, 2P)
-    dist_arr = np.stack(distsq)          # (n_snap, P)
+    # rows p and P + p start from u10 and u20 and share noise stream p
+    u0 = _prepare_initial(lambda r: u10 if r < P else u20, cfg, ops, range(2 * P))
+    times, _, _, states = integrate_paths(cfg, ops, u0, np.tile(np.arange(P), 2),
+                                          collect_states=True)
+    axes = tuple(range(-ops.basis.dim, 0))
+    linf_arr = np.empty((len(times), 2 * P))
+    dist_arr = np.empty((len(times), P))
+    for i, u in enumerate(states):
+        linf_arr[i] = np.max(np.abs(ops.basis.synthesize(u)), axis=axes)
+        dist_arr[i] = h_norm_sq(u[:P] - u[P:])
     if cfg.nonlinearity_enabled:
         p = cfg.alpha - 1.0
         psi = 2.0 * (linf_arr[:, :P] ** p + linf_arr[:, P:] ** p - cfg.beta) \

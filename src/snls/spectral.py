@@ -130,7 +130,8 @@ class SpectralField:
     basis: EigenBasis
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
+        # contiguous, so a strided row of a batch can be viewed as floats below
+        self.coeffs = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
         if self.coeffs.shape != (self.basis.n_modes,):
             raise BasisError(
                 f"expected {self.basis.n_modes} coefficients, got shape {self.coeffs.shape}")

@@ -186,6 +186,30 @@ def test_config_errors_exit_2_with_stderr(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_horizon_off_the_step_grid_exits_2_before_any_output(tmp_path, capsys):
+    text = BASE_CFG.replace("dt = 1e-3", "dt = 3e-4").replace("t_final = 0.02",
+                                                              "t_final = 0.1")
+    cfg = _write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "integer multiple" in captured.err
+    assert captured.out == ""                  # no constants echo
+    assert not (out / "run_manifest.json").exists()
+
+
+@pytest.mark.parametrize("override", [["--seed", "-1"], ["--paths", "0"]])
+def test_invalid_overrides_exit_2_without_a_manifest(tmp_path, capsys, override):
+    cfg = _write_cfg(tmp_path, BASE_CFG)
+    out = tmp_path / "o"
+    rc = main(["ensemble", "--config", str(cfg), "--out", str(out)] + override)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "error" in captured.err and captured.out == ""
+    assert not (out / "run_manifest.json").exists()
+
+
 def test_blow_up_exits_1(tmp_path, capsys):
     text = BASE_CFG.replace("beta = 1.0", "beta = -30") \
                    .replace("scheme = strat_split", "scheme = ito_exp_em") \

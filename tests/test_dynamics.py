@@ -84,8 +84,10 @@ def test_integrate_paths_checks_index_count():
     cfg = _cfg(t_final=1e-3, snapshot_stride=1)
     ops = build_operators(cfg)
     u0 = np.zeros((3, ops.basis.n_modes), dtype=complex)
-    with pytest.raises(ConfigurationError, match="path_index"):
+    with pytest.raises(ConfigurationError, match="one stream key per path"):
         integrate_paths(cfg, ops, u0, [0, 1])
+    with pytest.raises(ConfigurationError, match="one stream key per path"):
+        integrate_paths(cfg, ops, u0, [0, 0, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +204,15 @@ def test_brownian_driver_is_reproducible_and_stateful():
     assert not np.array_equal(a_W, other_W)
 
 
+def test_brownian_increments_do_not_depend_on_the_draw_blocks():
+    # the engine draws increments in blocks; the block size must not move a bit
+    whole_W, whole_Wt = BrownianDriver(42, 7, n_B=2, n_G=1, dt=1e-3).increments(300)
+    d = BrownianDriver(42, 7, n_B=2, n_G=1, dt=1e-3)
+    parts = [d.increments(n) for n in (64, 64, 64, 64, 44)]
+    assert np.array_equal(whole_W, np.concatenate([W for W, _ in parts]))
+    assert np.array_equal(whole_Wt, np.concatenate([Wt for _, Wt in parts]))
+
+
 def test_brownian_increments_have_the_right_scale_and_no_cross_correlation():
     dt = 2e-3
     W, Wt = BrownianDriver(3, 0, n_B=2, n_G=1, dt=dt).increments(20000)
@@ -226,16 +237,16 @@ def test_replay_is_bit_identical_and_seed_sensitive():
     assert not np.array_equal(rec1.final_state.coeffs, rec3.final_state.coeffs)
 
 
-def test_shared_stream_slots_drive_paths_with_common_noise():
+def test_shared_stream_keys_drive_paths_with_common_noise():
     cfg = _cfg(beta=0.3, t_final=0.02, snapshot_stride=5,
                b_profiles=("0.4",), g_variant="linear_diagonal", g_params=(0.3,))
     ops = build_operators(cfg)
     u0 = default_initial(ops.basis, cfg.galerkin_level).coeffs
-    batch = np.stack([u0, u0])
-    _, tables, u, _ = integrate_paths(cfg, ops, batch, [0],
-                                      stream_slots=np.array([0, 0]))
+    batch = np.stack([u0, u0, u0])
+    _, tables, u, _ = integrate_paths(cfg, ops, batch, [5, 5, 6])
     assert np.array_equal(u[0], u[1])
     assert np.array_equal(tables["mass"][0], tables["mass"][1])
+    assert not np.array_equal(u[0], u[2])
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +358,7 @@ def test_em_per_mode_moments_follow_the_discrete_recursion():
     u0 = default_initial(ops.basis, cfg.galerkin_level)
     batch = np.tile(u0.coeffs * ops.maskf, (paths, 1))
     _, _, _, states = integrate_paths(cfg, ops, batch, list(range(paths)),
-                                      collect_states=True, rng_block=64)
+                                      collect_states=True)
     uT = states[-1]
     n = cfg.n_steps
 
@@ -390,8 +401,7 @@ def test_split_mass_recursion_with_linear_state_noise():
     ops = build_operators(cfg)
     u0 = default_initial(ops.basis, cfg.galerkin_level)
     batch = np.tile(u0.coeffs, (paths, 1))
-    _, tables, _, _ = integrate_paths(cfg, ops, batch, list(range(paths)),
-                                      rng_block=64)
+    _, tables, _, _ = integrate_paths(cfg, ops, batch, list(range(paths)))
     m = tables["mass"][:, -1]
     n = cfg.n_steps
     # the unitary B substep drops out of the modulus; gamma attaches via EM
@@ -409,7 +419,7 @@ def test_split_mass_recursion_with_additive_noise():
     u0 = default_initial(ops.basis, cfg.galerkin_level)
     batch = np.tile(u0.coeffs, (paths, 1))
     _, tables, _, states = integrate_paths(cfg, ops, batch, list(range(paths)),
-                                           collect_states=True, rng_block=64)
+                                           collect_states=True)
     n = cfg.n_steps
     q = math.exp(-2 * beta * dt)
     intensity = 0.2 ** 2 + 0.1 ** 2

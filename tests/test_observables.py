@@ -1,5 +1,6 @@
 """Functional evaluations against closed forms, budget and two-point diagnostics."""
 
+import logging
 import math
 
 import numpy as np
@@ -218,6 +219,16 @@ def test_contraction_identical_data_stays_at_zero():
     rep = contraction_diagnostic(u0, u0, cfg)
     assert rep.d0 == 0.0
     assert np.all(rep.d_pairs == 0.0)
+
+
+def test_contraction_projects_out_of_band_data_with_warning(caplog):
+    cfg = _cfg(galerkin_level=2, t_final=0.0, paths=2)
+    basis = make_basis("torus1d", 16, 2)
+    ones = SpectralField(np.ones(basis.n_modes, dtype=complex), basis)
+    with caplog.at_level(logging.WARNING, logger="snls.dynamics"):
+        rep = contraction_diagnostic(ones, ones, cfg)
+    assert "projecting" in caplog.text
+    assert rep.d0 == 0.0
 
 
 def test_contraction_common_multiplicative_noise_cancels_exactly():

@@ -237,3 +237,14 @@ def test_validation_errors():
     basis = make_basis("torus1d", 8)
     with pytest.raises(ValueError):
         basis.analyze(np.zeros(3))        # wrong grid shape
+
+
+def test_field_accepts_a_strided_row_of_a_batch():
+    # engine batches can come back column-major; their rows are strided views
+    basis = make_basis("torus1d", 8)
+    batch = np.asfortranarray(np.arange(3 * basis.n_modes).reshape(3, -1) * (1 + 1j))
+    field = SpectralField(batch[1], basis)
+    assert np.array_equal(field.coeffs, batch[1])
+    batch[2, 3] = np.nan
+    with pytest.raises(BasisError, match="non-finite"):
+        SpectralField(batch[2], basis)
