@@ -519,7 +519,11 @@ def simulate_ensemble(cfg: SdeConfig, initial) -> EnsembleReport:
         pn = min(_ENSEMBLE_CHUNK, n_paths - done)
         idx = list(range(done, done + pn))
         u0 = _prepare_initial(initial, cfg, ops, idx)
-        times, tables, _, _ = integrate_paths(cfg, ops, u0, idx)
+        try:
+            times, tables, _, _ = integrate_paths(cfg, ops, u0, idx)
+        except BlowUpError as exc:
+            # integrate_paths names the row of the chunk; report the path
+            raise BlowUpError(exc.t, exc.v_norm, done + exc.path_index) from None
         tables["residual"] = _budget_residual_batch(times, tables, cfg)
         for name, acc in accs.items():
             acc.update(tables[name])

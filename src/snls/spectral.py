@@ -11,12 +11,13 @@ positive operator used for the dyadic projection machinery:
 Fields are stored as complex coefficient vectors over an orthonormal
 eigenfunction family h_k.  Every basis is a tensor product of one 1-D family
 per axis, so a basis is a table of per-axis entries (wavenumbers, nodes,
-measure, grid length and a 1-D transform pair: complex FFT on the torus,
-DST-I on Dirichlet boxes, DCT-III/DCT-II on Neumann boxes).  Synthesis walks
-the table last axis first, zero-padding each axis from its modes to its grid
-before transforming; analysis transforms and truncates back in the same
-order.  The transforms are exact on band-limited fields and accept leading
-batch axes, so an ensemble of coefficient vectors transforms in one call.
+measure, grid length and a 1-D transform pair).  On sine (Dirichlet) and
+cosine (Neumann) axes the pair is the matrix h_k(x_j) and its quadrature-
+weighted transpose, one BLAS product of O(M N) per grid line (Boyd's matrix
+multiplication transform, faster than a fast transform at these sizes); torus
+axes keep the FFT.  Synthesis and analysis walk the table last axis first, are
+exact on band-limited fields and accept leading batch axes, so an ensemble of
+coefficient vectors transforms in one call.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 import scipy.fft
@@ -40,36 +41,40 @@ class BasisError(ValueError):
 
 @dataclass(frozen=True)
 class AxisTransform:
-    """One axis of a separable basis: stored modes, grid nodes and 1-D transform pair."""
+    """One axis of a separable basis: stored modes, grid nodes and 1-D transform pair.
 
-    ks: np.ndarray                   # wavenumbers of the stored modes, in storage order
-    nodes: np.ndarray                # grid node coordinates
-    measure: float                   # length of the interval
+    Both maps are called as f(x, axis).  A matrix axis contracts `axis` with
+    the real Phi[k, j] = h_k(x_j), shape (M, n_grid), to synthesize and with
+    the quadrature weights Phi.T * (measure / (oversample * M)) to analyze:
+    on the last axis as x @ Phi with a complex copy of Phi, on the other as
+    Phi on the float64 view of the C-ordered array (re and im interleaved
+    along the last axis).  A torus axis runs the FFT between its stored
+    modes' bins and the grid, leaving the normalisation to the basis.
+    """
+
+    ks: np.ndarray         # wavenumbers of the stored modes, in storage order
+    nodes: np.ndarray      # grid node coordinates
+    measure: float         # length of the interval
     n_grid: int
-    slots: Union[np.ndarray, slice]  # place of each stored mode in the transform's spectrum
-    forward: Callable                # spectrum -> grid values along `axis=`
-    backward: Callable               # grid values -> spectrum along `axis=`
-    synth_weight: Optional[np.ndarray] = None     # per-mode factor before `forward`
-    analyze_weight: Optional[np.ndarray] = None   # per-mode factor after `backward`
+    synthesize: Callable   # stored modes -> grid values along `axis`
+    analyze: Callable      # grid values -> stored modes along `axis`
 
-    def synthesize(self, x: np.ndarray, axis: int) -> np.ndarray:
-        """Zero-pad `axis` from the stored modes to the grid spectrum, then transform."""
-        trailing = -1 - axis
-        if self.synth_weight is not None:
-            x = x * self.synth_weight.reshape((-1,) + (1,) * trailing)
-        shape = list(x.shape)
-        shape[axis] = self.n_grid
-        buf = np.zeros(shape, dtype=np.complex128)
-        buf[(Ellipsis, self.slots) + (slice(None),) * trailing] = x
-        return self.forward(buf, axis=axis)
 
-    def analyze(self, x: np.ndarray, axis: int) -> np.ndarray:
-        """Transform `axis` and truncate its spectrum to the stored modes."""
-        trailing = -1 - axis
-        hat = self.backward(x, axis=axis)[(Ellipsis, self.slots) + (slice(None),) * trailing]
-        if self.analyze_weight is not None:
-            hat = hat * self.analyze_weight.reshape((-1,) + (1,) * trailing)
-        return hat
+def _contract(x: np.ndarray, axis: int, mat: np.ndarray, mat_c: np.ndarray) -> np.ndarray:
+    """sum_i x[.., i, ..] mat[i, j] along `axis` for a real mat: -1, or -2 of a C-ordered x."""
+    if axis == -1:
+        return x @ mat_c
+    return np.matmul(mat.T, x.view(np.float64)).view(np.complex128)
+
+
+def _fft_synthesize(x: np.ndarray, axis: int, slots: np.ndarray, n_grid: int) -> np.ndarray:
+    buf = np.zeros(x.shape[:axis] + (n_grid,) + x.shape[x.ndim + axis + 1:], dtype=np.complex128)
+    buf[(Ellipsis, slots) + (slice(None),) * (-1 - axis)] = x
+    return scipy.fft.ifft(buf, axis=axis)
+
+
+def _fft_analyze(x: np.ndarray, axis: int, slots: np.ndarray) -> np.ndarray:
+    return scipy.fft.fft(x, axis=axis)[(Ellipsis, slots) + (slice(None),) * (-1 - axis)]
 
 
 @dataclass(frozen=True)
@@ -88,8 +93,8 @@ class EigenBasis:
     quad_weight: float          # uniform quadrature weight per node
     domain_measure: float
     axes: Tuple[AxisTransform, ...] = field(repr=False)
-    synth_scale: float          # overall factor of synthesize, after every axis
-    analyze_scale: float        # overall factor of analyze, after every axis
+    synth_scale: Optional[float]    # torus FFT normalisation after every axis; None on matrix axes
+    analyze_scale: Optional[float]
 
     @property
     def n_modes(self) -> int:
@@ -108,7 +113,7 @@ class EigenBasis:
         x = x.reshape(x.shape[:-1] + (self.modes_per_axis,) * self.dim)
         for axis in range(-1, -self.dim - 1, -1):
             x = self.axes[axis].synthesize(x, axis)
-        return x * self.synth_scale
+        return x if self.synth_scale is None else x * self.synth_scale
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         """Quadrature inner products <f, h_k>; exact for band-limited f."""
@@ -118,7 +123,7 @@ class EigenBasis:
         x = np.asarray(values, dtype=np.complex128)
         for axis in range(-1, -self.dim - 1, -1):
             x = self.axes[axis].analyze(x, axis)
-        x = x * self.analyze_scale
+        x = x if self.analyze_scale is None else x * self.analyze_scale
         return x.reshape(x.shape[:-self.dim] + (self.n_modes,))
 
 
@@ -145,38 +150,33 @@ class SpectralField:
 # ---------------------------------------------------------------------------
 # construction
 
-_dst1 = functools.partial(scipy.fft.dst, type=1)
-
-
 def _axis_table(family: str, M: int, N: int, dim: int):
-    """Per-axis entry of one family on N = oversample * M points, with its
-    overall synthesis and analysis scales and the S-shift of the spectrum."""
+    """Per-axis entry of one family on N = oversample * M points, with the
+    torus FFT scales of synthesis and analysis and the S-shift of the spectrum."""
     if family == "torus":
         # h_k(x) = exp(i k x) / sqrt(2 pi); the FFT layout stores k = 0, .., M/2-1, -M/2, .., -1
-        ks = np.fft.fftfreq(M, d=1.0 / M).astype(int)
+        ks = scipy.fft.fftfreq(M, d=1.0 / M).astype(int)
+        slots = np.mod(ks, N)
         ax = AxisTransform(ks, np.arange(N) * (2.0 * np.pi / N), 2.0 * np.pi, N,
-                           np.mod(ks, N), np.fft.ifft, np.fft.fft)
+                           functools.partial(_fft_synthesize, slots=slots, n_grid=N),
+                           functools.partial(_fft_analyze, slots=slots))
         norm = (2.0 * np.pi) ** (dim / 2.0)
         return ax, N ** dim / norm, norm / N ** dim, 1.0
+    # discretely orthonormal under the weight pi / N; phases are reduced mod 2 pi in integers
+    j = np.arange(N)
     if family == "dirichlet":
-        # h_k(x) = sqrt(2/pi) sin(k x); DST-I on the N-1 interior nodes gives
-        # exact discrete orthogonality
-        ax = AxisTransform(np.arange(1, M + 1), np.arange(1, N) * (np.pi / N), np.pi, N - 1,
-                           slice(0, M), _dst1, _dst1)
-        synth = 1.0 / np.sqrt(2.0 * np.pi)          # sqrt(2/pi) * (1/2)
-        analyze = np.sqrt(2.0 * np.pi) / (2.0 * N)  # (pi/N) * sqrt(2/pi) / 2
-        return ax, synth ** dim, analyze ** dim, 0.0
-    # neumann: h_0 = 1/sqrt(pi), h_k = sqrt(2/pi) cos(k x); midpoint nodes give
-    # exact discrete cosine orthogonality for the DCT-III/DCT-II pair
-    nf = np.full(M, np.sqrt(2.0 / np.pi))
-    nf[0] = 1.0 / np.sqrt(np.pi)
-    half = np.full(M, 0.5)
-    half[0] = 1.0
-    ax = AxisTransform(np.arange(M), (np.arange(N) + 0.5) * (np.pi / N), np.pi, N,
-                       slice(0, M), functools.partial(scipy.fft.dct, type=3),
-                       functools.partial(scipy.fft.dct, type=2),
-                       synth_weight=nf * half, analyze_weight=nf * (np.pi / (2.0 * N)))
-    return ax, 1.0, 1.0, NEUMANN_EPS
+        # h_k(x) = sqrt(2/pi) sin(k x) on the N-1 interior nodes x_j = j pi / N
+        ks, nodes, shift = np.arange(1, M + 1), j[1:] * (np.pi / N), 0.0
+        phi = np.sqrt(2.0 / np.pi) * np.sin(np.outer(ks, j[1:]) % (2 * N) * (np.pi / N))
+    else:
+        # neumann: h_0 = 1/sqrt(pi), h_k = sqrt(2/pi) cos(k x) on the midpoints (j + 1/2) pi / N
+        ks, nodes, shift = np.arange(M), (j + 0.5) * (np.pi / N), NEUMANN_EPS
+        phi = np.sqrt(2.0 / np.pi) * np.cos(np.outer(ks, 2 * j + 1) % (4 * N) * (np.pi / (2 * N)))
+        phi[0] = 1.0 / np.sqrt(np.pi)
+    ax = AxisTransform(ks, nodes, np.pi, len(nodes), *(
+        functools.partial(_contract, mat=m, mat_c=m.astype(np.complex128))
+        for m in (phi, phi.T * (np.pi / N))))
+    return ax, None, None, shift
 
 
 def make_basis(kind: str, modes_per_axis: int, oversample: int = 2) -> EigenBasis:
@@ -270,7 +270,7 @@ def norms(u: SpectralField) -> NormRecord:
 
 def h_norm_sq(coeffs: np.ndarray) -> np.ndarray:
     """Batched squared H-norm along the last axis."""
-    # the float view needs a contiguous layout; FFT slices are strided
+    # the float view needs a contiguous layout; a row or slice of a batch may be strided
     c = np.ascontiguousarray(coeffs)
     r = c.view(np.float64).reshape(c.shape + (2,))
     return np.sum(r * r, axis=(-2, -1))

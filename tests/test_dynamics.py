@@ -345,6 +345,17 @@ def test_blow_up_guard_trips_on_antidamping():
     assert exc.value.v_norm > 1e8
 
 
+def test_blow_up_in_a_later_chunk_names_the_ensemble_path():
+    # 2050 paths run as chunks of 2048 and 2; only path 2049 leaves the origin
+    cfg = _cfg(scheme="ito_exp_em", beta=-30.0, dt=1e-2, t_final=1.0,
+               snapshot_stride=10, paths=2050)
+    u0 = default_initial(build_operators(cfg).basis, cfg.galerkin_level)
+    zero = SpectralField(np.zeros_like(u0.coeffs), u0.basis)
+    with pytest.raises(BlowUpError, match=r"\(path 2049\)") as exc:
+        simulate_ensemble(cfg, lambda p: u0 if p == 2049 else zero)
+    assert exc.value.path_index == 2049
+
+
 # ---------------------------------------------------------------------------
 # discrete moment recursions (exact in expectation; tolerances are sample SEs)
 

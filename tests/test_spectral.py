@@ -248,3 +248,33 @@ def test_field_accepts_a_strided_row_of_a_batch():
     batch[2, 3] = np.nan
     with pytest.raises(BasisError, match="non-finite"):
         SpectralField(batch[2], basis)
+
+
+@pytest.mark.parametrize("kind", BASIS_KINDS)
+def test_transforms_of_strided_inputs_equal_the_contiguous_results(kind):
+    # the matrix axes view complex arrays as float64, which needs C order
+    basis = make_basis(kind, small(kind))
+    rng = np.random.default_rng(7)
+    c = rng.standard_normal((6, basis.n_modes)) + 1j * rng.standard_normal((6, basis.n_modes))
+    f = rng.standard_normal((6,) + basis.grid_shape) + 1j * rng.standard_normal((6,) + basis.grid_shape)
+    rows, grids = c[::2], f[::2]
+    assert not rows.flags.c_contiguous and not grids.flags.c_contiguous
+    assert np.array_equal(basis.synthesize(rows), basis.synthesize(rows.copy()))
+    assert np.array_equal(basis.analyze(grids), basis.analyze(grids.copy()))
+    # the same batch held transposed in memory, and a transposed grid
+    assert np.array_equal(basis.synthesize(np.asfortranarray(c)), basis.synthesize(c))
+    assert np.array_equal(basis.analyze(np.asfortranarray(f)), basis.analyze(f))
+    grid_t = f[0].T
+    assert np.array_equal(basis.analyze(grid_t), basis.analyze(grid_t.copy()))
+
+
+@pytest.mark.parametrize("kind", ["dirichlet1d", "dirichlet2d", "neumann1d", "neumann2d"])
+@pytest.mark.parametrize("modes", [2, 8, 32])
+@pytest.mark.parametrize("oversample", [2, 3])
+def test_matrix_axes_roundtrip_on_small_and_odd_grids(kind, modes, oversample):
+    # Dirichlet grids have oversample * M - 1 points, odd at oversample 2
+    basis = make_basis(kind, modes, oversample)
+    rng = np.random.default_rng(modes + oversample)
+    c = rng.standard_normal((3, basis.n_modes)) + 1j * rng.standard_normal((3, basis.n_modes))
+    back = basis.analyze(basis.synthesize(c))
+    assert np.max(np.abs(back - c)) < 1e-13
