@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -136,6 +137,8 @@ def _run_verify(cfg, out: Path, checksum: str) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # the package logs only warnings; without a handler they reach stderr bare
+    logging.basicConfig(format="warning: %(name)s: %(message)s")
     parser = argparse.ArgumentParser(
         prog="snls",
         description="Spectral Galerkin simulator for the damped stochastic "

@@ -9,8 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import platform
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
+
+import numpy as np
+# the manifest records its version; perfbench/worker.py also reads
+# sys.modules["scipy"] without importing it, so `import snls` must load it
+import scipy
 
 from .spectral import BASIS_KINDS, make_basis
 from .operators import G_VARIANTS, make_noise_B, make_noise_G
@@ -192,5 +198,7 @@ class RunManifest:
             "config": {k: (list(v) if isinstance(v, tuple) else v)
                        for k, v in self.cfg.__dict__.items()},
             "constants": self.constants.to_dict(),
+            "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                         "scipy": scipy.__version__},
         }
         return json.dumps(body, indent=2, sort_keys=True)

@@ -60,14 +60,15 @@ class ConfigurationError(ValueError):
 
 
 class BlowUpError(RuntimeError):
-    """Integrator abort: records time and V-norm at the blow-up check."""
+    """Integrator abort: records step, time and V-norm at the blow-up check."""
 
-    def __init__(self, t: float, v_norm: float, path_index: int):
+    def __init__(self, step: int, t: float, v_norm: float, path_index: int):
+        self.step = step
         self.t = t
         self.v_norm = v_norm
         self.path_index = path_index
         super().__init__(
-            f"blow-up guard tripped at t={t:.6g}: ||u||_V = {v_norm:.3e} "
+            f"blow-up guard tripped at step {step} (t={t:.6g}): ||u||_V = {v_norm:.3e} "
             f"(path {path_index}); threshold {BLOWUP_V_NORM:.1e}")
 
 
@@ -450,10 +451,10 @@ def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
             bad = ~np.isfinite(vsq)
             if bad.any():
                 worst = int(np.argmax(bad))
-                raise BlowUpError(step * cfg.dt, float("inf"), worst)
+                raise BlowUpError(step, step * cfg.dt, float("inf"), worst)
             worst = int(np.argmax(vsq))
             if vsq[worst] > BLOWUP_V_NORM ** 2:
-                raise BlowUpError(step * cfg.dt, float(np.sqrt(vsq[worst])), worst)
+                raise BlowUpError(step, step * cfg.dt, float(np.sqrt(vsq[worst])), worst)
             record(step)
 
     times = snap_steps * cfg.dt
@@ -523,7 +524,7 @@ def simulate_ensemble(cfg: SdeConfig, initial) -> EnsembleReport:
             times, tables, _, _ = integrate_paths(cfg, ops, u0, idx)
         except BlowUpError as exc:
             # integrate_paths names the row of the chunk; report the path
-            raise BlowUpError(exc.t, exc.v_norm, done + exc.path_index) from None
+            raise BlowUpError(exc.step, exc.t, exc.v_norm, done + exc.path_index) from None
         tables["residual"] = _budget_residual_batch(times, tables, cfg)
         for name, acc in accs.items():
             acc.update(tables[name])

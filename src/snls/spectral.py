@@ -11,13 +11,14 @@ positive operator used for the dyadic projection machinery:
 Fields are stored as complex coefficient vectors over an orthonormal
 eigenfunction family h_k.  Every basis is a tensor product of one 1-D family
 per axis, so a basis is a table of per-axis entries (wavenumbers, nodes,
-measure, grid length and a 1-D transform pair).  On sine (Dirichlet) and
-cosine (Neumann) axes the pair is the matrix h_k(x_j) and its quadrature-
-weighted transpose, one BLAS product of O(M N) per grid line (Boyd's matrix
-multiplication transform, faster than a fast transform at these sizes); torus
-axes keep the FFT.  Synthesis and analysis walk the table last axis first, are
-exact on band-limited fields and accept leading batch axes, so an ensemble of
-coefficient vectors transforms in one call.
+measure and a 1-D transform pair).  On every axis the pair is the
+eigenfunction matrix h_k(x_j) and its quadrature-weighted conjugate
+transpose, one BLAS product of O(M N) per grid line (Boyd's matrix
+multiplication transform, faster than a fast transform at these sizes):
+complex exponentials on torus axes, sines (Dirichlet) and cosines (Neumann)
+on box axes.  Synthesis and analysis walk the table last axis first, are
+exact on band-limited fields and accept leading batch axes, so an ensemble
+of coefficient vectors transforms in one call.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
-import scipy.fft
 
 BASIS_KINDS = ("torus1d", "torus2d", "dirichlet1d", "dirichlet2d", "neumann1d", "neumann2d")
 
@@ -43,38 +43,32 @@ class BasisError(ValueError):
 class AxisTransform:
     """One axis of a separable basis: stored modes, grid nodes and 1-D transform pair.
 
-    Both maps are called as f(x, axis).  A matrix axis contracts `axis` with
-    the real Phi[k, j] = h_k(x_j), shape (M, n_grid), to synthesize and with
-    the quadrature weights Phi.T * (measure / (oversample * M)) to analyze:
-    on the last axis as x @ Phi with a complex copy of Phi, on the other as
-    Phi on the float64 view of the C-ordered array (re and im interleaved
-    along the last axis).  A torus axis runs the FFT between its stored
-    modes' bins and the grid, leaving the normalisation to the basis.
+    `synth` holds Phi[k, j] = h_k(x_j), shape (M, len(nodes)), complex on a torus
+    axis and real on a sine or cosine axis; `analysis` holds its conjugate
+    transpose times the uniform quadrature weight, so that x @ analysis is
+    the inner product <f, h_k>.  Each comes with its complex128 copy (the
+    same array on a torus axis), so that the product on the last axis casts
+    nothing per call.  Both are applied by `_contract`.
     """
 
     ks: np.ndarray         # wavenumbers of the stored modes, in storage order
     nodes: np.ndarray      # grid node coordinates
     measure: float         # length of the interval
-    n_grid: int
-    synthesize: Callable   # stored modes -> grid values along `axis`
-    analyze: Callable      # grid values -> stored modes along `axis`
+    synth: Tuple[np.ndarray, np.ndarray]      # stored modes -> grid values
+    analysis: Tuple[np.ndarray, np.ndarray]   # grid values -> stored modes
 
 
 def _contract(x: np.ndarray, axis: int, mat: np.ndarray, mat_c: np.ndarray) -> np.ndarray:
-    """sum_i x[.., i, ..] mat[i, j] along `axis` for a real mat: -1, or -2 of a C-ordered x."""
+    """sum_i x[.., i, ..] mat[i, j] along `axis`: -1, or -2 of a C-ordered x.
+
+    A real mat on axis -2 multiplies the float64 view of x (re and im
+    interleaved along the last axis), half the flops of a complex product.
+    """
     if axis == -1:
         return x @ mat_c
+    if np.iscomplexobj(mat):
+        return np.matmul(mat.T, x)
     return np.matmul(mat.T, x.view(np.float64)).view(np.complex128)
-
-
-def _fft_synthesize(x: np.ndarray, axis: int, slots: np.ndarray, n_grid: int) -> np.ndarray:
-    buf = np.zeros(x.shape[:axis] + (n_grid,) + x.shape[x.ndim + axis + 1:], dtype=np.complex128)
-    buf[(Ellipsis, slots) + (slice(None),) * (-1 - axis)] = x
-    return scipy.fft.ifft(buf, axis=axis)
-
-
-def _fft_analyze(x: np.ndarray, axis: int, slots: np.ndarray) -> np.ndarray:
-    return scipy.fft.fft(x, axis=axis)[(Ellipsis, slots) + (slice(None),) * (-1 - axis)]
 
 
 @dataclass(frozen=True)
@@ -93,8 +87,6 @@ class EigenBasis:
     quad_weight: float          # uniform quadrature weight per node
     domain_measure: float
     axes: Tuple[AxisTransform, ...] = field(repr=False)
-    synth_scale: Optional[float]    # torus FFT normalisation after every axis; None on matrix axes
-    analyze_scale: Optional[float]
 
     @property
     def n_modes(self) -> int:
@@ -112,8 +104,8 @@ class EigenBasis:
         x = np.asarray(coeffs, dtype=np.complex128)
         x = x.reshape(x.shape[:-1] + (self.modes_per_axis,) * self.dim)
         for axis in range(-1, -self.dim - 1, -1):
-            x = self.axes[axis].synthesize(x, axis)
-        return x if self.synth_scale is None else x * self.synth_scale
+            x = _contract(x, axis, *self.axes[axis].synth)
+        return x
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         """Quadrature inner products <f, h_k>; exact for band-limited f."""
@@ -122,8 +114,7 @@ class EigenBasis:
                 f"grid shape {values.shape[-self.dim:]} does not match basis grid {self.grid_shape}")
         x = np.asarray(values, dtype=np.complex128)
         for axis in range(-1, -self.dim - 1, -1):
-            x = self.axes[axis].analyze(x, axis)
-        x = x if self.analyze_scale is None else x * self.analyze_scale
+            x = _contract(x, axis, *self.axes[axis].analysis)
         return x.reshape(x.shape[:-self.dim] + (self.n_modes,))
 
 
@@ -150,33 +141,28 @@ class SpectralField:
 # ---------------------------------------------------------------------------
 # construction
 
-def _axis_table(family: str, M: int, N: int, dim: int):
+def _axis_table(family: str, M: int, N: int):
     """Per-axis entry of one family on N = oversample * M points, with the
-    torus FFT scales of synthesis and analysis and the S-shift of the spectrum."""
-    if family == "torus":
-        # h_k(x) = exp(i k x) / sqrt(2 pi); the FFT layout stores k = 0, .., M/2-1, -M/2, .., -1
-        ks = scipy.fft.fftfreq(M, d=1.0 / M).astype(int)
-        slots = np.mod(ks, N)
-        ax = AxisTransform(ks, np.arange(N) * (2.0 * np.pi / N), 2.0 * np.pi, N,
-                           functools.partial(_fft_synthesize, slots=slots, n_grid=N),
-                           functools.partial(_fft_analyze, slots=slots))
-        norm = (2.0 * np.pi) ** (dim / 2.0)
-        return ax, N ** dim / norm, norm / N ** dim, 1.0
-    # discretely orthonormal under the weight pi / N; phases are reduced mod 2 pi in integers
+    S-shift of the spectrum.  Each family is discretely orthonormal under its
+    quadrature weight; phases are reduced mod 2 pi in integers."""
     j = np.arange(N)
-    if family == "dirichlet":
+    if family == "torus":
+        # h_k(x) = exp(i k x) / sqrt(2 pi) on x_j = 2 pi j / N; stored k = 0, .., M/2-1, -M/2, .., -1
+        ks = (np.arange(M) + M // 2) % M - M // 2
+        nodes, measure, shift = j * (2.0 * np.pi / N), 2.0 * np.pi, 1.0
+        phi = np.exp(1j * (np.outer(ks, j) % N * (2.0 * np.pi / N))) / np.sqrt(2.0 * np.pi)
+    elif family == "dirichlet":
         # h_k(x) = sqrt(2/pi) sin(k x) on the N-1 interior nodes x_j = j pi / N
-        ks, nodes, shift = np.arange(1, M + 1), j[1:] * (np.pi / N), 0.0
+        ks, nodes, measure, shift = np.arange(1, M + 1), j[1:] * (np.pi / N), np.pi, 0.0
         phi = np.sqrt(2.0 / np.pi) * np.sin(np.outer(ks, j[1:]) % (2 * N) * (np.pi / N))
     else:
         # neumann: h_0 = 1/sqrt(pi), h_k = sqrt(2/pi) cos(k x) on the midpoints (j + 1/2) pi / N
-        ks, nodes, shift = np.arange(M), (j + 0.5) * (np.pi / N), NEUMANN_EPS
+        ks, nodes, measure, shift = np.arange(M), (j + 0.5) * (np.pi / N), np.pi, NEUMANN_EPS
         phi = np.sqrt(2.0 / np.pi) * np.cos(np.outer(ks, 2 * j + 1) % (4 * N) * (np.pi / (2 * N)))
         phi[0] = 1.0 / np.sqrt(np.pi)
-    ax = AxisTransform(ks, nodes, np.pi, len(nodes), *(
-        functools.partial(_contract, mat=m, mat_c=m.astype(np.complex128))
-        for m in (phi, phi.T * (np.pi / N))))
-    return ax, None, None, shift
+    ax = AxisTransform(ks, nodes, measure, *(
+        (m, m.astype(np.complex128, copy=False)) for m in (phi, phi.conj().T * (measure / N))))
+    return ax, shift
 
 
 def make_basis(kind: str, modes_per_axis: int, oversample: int = 2) -> EigenBasis:
@@ -187,12 +173,12 @@ def make_basis(kind: str, modes_per_axis: int, oversample: int = 2) -> EigenBasi
     if oversample < 2:
         raise BasisError("oversample must be at least 2 (Lp quadrature contract)")
     if kind.startswith("torus") and modes_per_axis % 2 != 0:
-        raise BasisError("torus bases require an even modes_per_axis (FFT layout)")
+        raise BasisError("torus bases require an even modes_per_axis (k = -M/2 .. M/2-1)")
 
     dim = int(kind[-2])
     M = modes_per_axis
     N = oversample * M
-    ax, synth_scale, analyze_scale, s_shift = _axis_table(kind[:-2], M, N, dim)
+    ax, s_shift = _axis_table(kind[:-2], M, N)
     axes = (ax,) * dim
     ksq = functools.reduce(np.add.outer, [a.ks.astype(float) ** 2 for a in axes]).ravel()
     return EigenBasis(
@@ -204,13 +190,11 @@ def make_basis(kind: str, modes_per_axis: int, oversample: int = 2) -> EigenBasi
                              for ks in itertools.product(*(a.ks for a in axes))),
         a_eigs=ksq,
         s_eigs=s_shift + ksq,
-        grid_shape=tuple(a.n_grid for a in axes),
+        grid_shape=tuple(len(a.nodes) for a in axes),
         grid_axes=tuple(a.nodes for a in axes),
         quad_weight=(ax.measure / N) ** dim,
         domain_measure=ax.measure ** dim,
         axes=axes,
-        synth_scale=synth_scale,
-        analyze_scale=analyze_scale,
     )
 
 

@@ -65,6 +65,8 @@ def test_simulate_writes_the_trajectory_contract(tmp_path):
     assert manifest["config"]["seed"] == 7
     assert manifest["config_checksum"] == config_checksum(BASE_CFG)
     assert "damping_term_v" in manifest["constants"]
+    assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
+    assert manifest["versions"]["python"] == "%d.%d.%d" % sys.version_info[:3]
 
 
 def test_simulate_zero_horizon_has_one_row(tmp_path):
@@ -234,9 +236,20 @@ def test_installed_entry_point_smoke(tmp_path):
 
 
 def test_import_leaves_heavy_scipy_modules_unloaded():
-    # scipy.stats and scipy.integrate cost ~0.8 s of import for three formulas
+    # scipy.stats and scipy.integrate cost ~0.8 s of import for three formulas,
+    # scipy.fft ~0.3 s; the bare scipy package is loaded for the manifest
     code = ("import sys, snls, snls.cli; "
-            "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
+            "print([m for m in ('scipy.stats', 'scipy.integrate', 'scipy.fft') "
+            "if m in sys.modules], 'scipy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "[] True"
+
+
+def test_verify_formats_the_projection_warning(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "snls.cli", "verify", "--out", str(tmp_path / "v")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert ("warning: snls.dynamics: initial data has support outside the level-2 band; "
+            "projecting") in proc.stderr.splitlines()

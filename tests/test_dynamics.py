@@ -341,6 +341,8 @@ def test_blow_up_guard_trips_on_antidamping():
     with pytest.raises(BlowUpError) as exc:
         simulate(cfg, u0)
     assert 0.0 < exc.value.t <= 1.0
+    assert exc.value.step == round(exc.value.t / cfg.dt)
+    assert f"at step {exc.value.step} " in str(exc.value)
     assert exc.value.path_index == 0
     assert exc.value.v_norm > 1e8
 
@@ -354,6 +356,9 @@ def test_blow_up_in_a_later_chunk_names_the_ensemble_path():
     with pytest.raises(BlowUpError, match=r"\(path 2049\)") as exc:
         simulate_ensemble(cfg, lambda p: u0 if p == 2049 else zero)
     assert exc.value.path_index == 2049
+    assert 0 < exc.value.step <= 100
+    assert exc.value.t == exc.value.step * cfg.dt
+    assert f"at step {exc.value.step} " in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

@@ -268,7 +268,8 @@ def test_transforms_of_strided_inputs_equal_the_contiguous_results(kind):
     assert np.array_equal(basis.analyze(grid_t), basis.analyze(grid_t.copy()))
 
 
-@pytest.mark.parametrize("kind", ["dirichlet1d", "dirichlet2d", "neumann1d", "neumann2d"])
+@pytest.mark.parametrize("kind", ["torus1d", "torus2d", "dirichlet1d", "dirichlet2d",
+                                  "neumann1d", "neumann2d"])
 @pytest.mark.parametrize("modes", [2, 8, 32])
 @pytest.mark.parametrize("oversample", [2, 3])
 def test_matrix_axes_roundtrip_on_small_and_odd_grids(kind, modes, oversample):
