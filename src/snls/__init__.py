@@ -8,16 +8,13 @@ from .spectral import (
     EigenBasis,
     SpectralField,
     apply_frac_power,
-    from_spectral,
     make_basis,
     norms,
-    to_spectral,
 )
 from .operators import (
     G_VARIANTS,
     LinearNoiseB,
     OperatorError,
-    SmoothedProjector,
     StateNoiseG,
     antiderivative_F,
     apply_F,
@@ -35,7 +32,6 @@ from .dynamics import (
     ConfigurationError,
     EnsembleReport,
     GalerkinOps,
-    GalerkinState,
     SdeConfig,
     TrajectoryRecord,
     build_operators,
@@ -45,8 +41,6 @@ from .dynamics import (
     scaled_initial_factory,
     simulate,
     simulate_ensemble,
-    step_ito_exp_em,
-    step_strat_split,
 )
 from .observables import (
     ContractionReport,

@@ -18,9 +18,9 @@ import numpy as np
 # sys.modules["scipy"] without importing it, so `import snls` must load it
 import scipy
 
-from .spectral import BASIS_KINDS, make_basis
-from .operators import G_VARIANTS, make_noise_B, make_noise_G
-from .dynamics import SCHEMES, ConfigurationError, SdeConfig
+from .spectral import BASIS_KINDS
+from .operators import G_VARIANTS
+from .dynamics import SCHEMES, ConfigurationError, SdeConfig, build_operators
 
 
 class ConfigError(ConfigurationError):
@@ -161,9 +161,9 @@ class ConstantsReport:
 
 
 def compute_constants(cfg: SdeConfig) -> ConstantsReport:
-    basis = make_basis(cfg.domain_kind, cfg.modes_per_axis, cfg.oversample)
-    B = make_noise_B(basis, cfg.b_profiles)
-    G = make_noise_G(basis, cfg.g_variant, cfg.g_params, cfg.alpha)
+    """Constants of the B and G that build_operators(cfg) gives the integrator."""
+    ops = build_operators(cfg)
+    B, G = ops.B, ops.G
     term_v = G.C1t ** 2 + G.C2t ** 2 + B.v_opnorm_sq_sum
     term_lp = 0.5 * (cfg.alpha + 1.0) * B.lp_opnorm_sq_sum_bound + cfg.alpha * G.C3t ** 2
     return ConstantsReport(

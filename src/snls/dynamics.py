@@ -32,7 +32,6 @@ from .spectral import BASIS_KINDS, EigenBasis, SpectralField, make_basis, v_norm
 from .operators import (
     G_VARIANTS,
     LinearNoiseB,
-    SmoothedProjector,
     StateNoiseG,
     f_pointwise,
     hs_norm_sq_batch,
@@ -144,12 +143,6 @@ class SdeConfig:
         return round(self.t_final / self.dt)
 
 
-@dataclass
-class GalerkinState:
-    u: SpectralField
-    t: float
-
-
 @dataclass(frozen=True)
 class GalerkinOps:
     """Precomputed diagonal data for one (basis, config) pair."""
@@ -157,8 +150,7 @@ class GalerkinOps:
     basis: EigenBasis
     mask: np.ndarray             # bool, band s_k < 2^{n+1}
     maskf: np.ndarray            # mask as float
-    projector: SmoothedProjector
-    w: np.ndarray                # smoothed weights
+    w: np.ndarray                # smoothed projector weights
     w2: np.ndarray
     B: LinearNoiseB
     G: StateNoiseG
@@ -170,15 +162,16 @@ class GalerkinOps:
 
 
 def build_operators(cfg: SdeConfig, basis: Optional[EigenBasis] = None) -> GalerkinOps:
+    # No caller in the package passes `basis`; it stays because the benchmark's
+    # mutation tests wrap this function as build_operators(cfg, basis).
     if basis is None:
         basis = make_basis(cfg.domain_kind, cfg.modes_per_axis, cfg.oversample)
     mask = sharp_projector(cfg.galerkin_level, basis)
-    proj = smoothed_projector(cfg.galerkin_level, basis)
+    w = smoothed_projector(cfg.galerkin_level, basis)
     B = make_noise_B(basis, cfg.b_profiles)
     G = make_noise_G(basis, cfg.g_variant, cfg.g_params, cfg.alpha)
-    w = proj.weights
     b_eff = B.multipliers * w ** 2 if B.n_modes else np.zeros((0, basis.n_modes))
-    corr = stratonovich_correction(B, proj) if B.n_modes else np.zeros(basis.n_modes)
+    corr = stratonovich_correction(B, w) if B.n_modes else np.zeros(basis.n_modes)
     g_add = None
     if G.variant == "additive":
         g_add = G.g_coeffs * w
@@ -186,7 +179,6 @@ def build_operators(cfg: SdeConfig, basis: Optional[EigenBasis] = None) -> Galer
         basis=basis,
         mask=mask,
         maskf=mask.astype(float),
-        projector=proj,
         w=w,
         w2=w ** 2,
         B=B,
@@ -287,33 +279,13 @@ def _step_split_batch(u: np.ndarray, dW: np.ndarray, dWt: np.ndarray,
 _STEPPERS = {"ito_exp_em": _step_em_batch, "strat_split": _step_split_batch}
 
 
-# ---------------------------------------------------------------------------
-# single-step API used by tests and diagnostics
-
-def drift(state: GalerkinState, cfg: SdeConfig, ops: GalerkinOps) -> SpectralField:
+def drift(u: SpectralField, cfg: SdeConfig, ops: GalerkinOps) -> SpectralField:
     """The four-term Ito drift -iAu - i P_n F(u) - beta u + b_n u."""
-    u = state.u.coeffs[None, :]
-    out = (-1j * ops.basis.a_eigs - cfg.beta + ops.corr) * u
+    c = u.coeffs[None, :]
+    out = (-1j * ops.basis.a_eigs - cfg.beta + ops.corr) * c
     if cfg.nonlinearity_enabled:
-        out = out - 1j * _nonlinear_coeffs(u, ops, cfg.alpha)
+        out = out - 1j * _nonlinear_coeffs(c, ops, cfg.alpha)
     return SpectralField(out[0], ops.basis)
-
-
-def _single_step(state: GalerkinState, increments, cfg: SdeConfig, ops: GalerkinOps,
-                 stepper) -> GalerkinState:
-    dW, dWt = increments
-    u = stepper(state.u.coeffs[None, :],
-                np.asarray(dW, dtype=float).reshape(1, -1),
-                np.asarray(dWt, dtype=float).reshape(1, -1), cfg, ops)
-    return GalerkinState(SpectralField(u[0], ops.basis), state.t + cfg.dt)
-
-
-def step_ito_exp_em(state, increments, cfg, ops) -> GalerkinState:
-    return _single_step(state, increments, cfg, ops, _step_em_batch)
-
-
-def step_strat_split(state, increments, cfg, ops) -> GalerkinState:
-    return _single_step(state, increments, cfg, ops, _step_split_batch)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +311,7 @@ class EnsembleReport:
     var: Dict[str, np.ndarray]
     stderr: Dict[str, np.ndarray]
     mass_lag1_mean: np.ndarray            # E[mass(t_j) mass(t_{j+1})], length n_snap-1
-    cfg: SdeConfig = None
+    cfg: SdeConfig
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +349,18 @@ def _observe_batch(u: np.ndarray, cfg: SdeConfig, ops: GalerkinOps) -> Dict[str,
 
 def _prepare_initial(initial, cfg: SdeConfig, ops: GalerkinOps,
                      path_indices: Sequence[int]) -> np.ndarray:
-    if callable(initial):
-        rows = [np.asarray(initial(int(p)).coeffs, dtype=np.complex128) for p in path_indices]
-        batch = np.stack(rows)
-    else:
-        c = np.asarray(initial.coeffs, dtype=np.complex128)
-        batch = np.tile(c, (len(path_indices), 1))
+    """Initial batch, one row per path; initial is a field or a path_index -> field factory."""
+    fields = [initial(int(p)) for p in path_indices] if callable(initial) \
+        else [initial] * len(path_indices)
+    # coefficients of another geometry would be silently read as this one's modes
+    want = (cfg.domain_kind, cfg.modes_per_axis, cfg.oversample)
+    for u in fields:
+        got = (u.basis.kind, u.basis.modes_per_axis, u.basis.oversample)
+        if got != want:
+            raise ConfigurationError(
+                f"initial datum lives on (kind, modes_per_axis, oversample) = {got}, "
+                f"but the config asks for {want}")
+    batch = np.stack([u.coeffs for u in fields])
     outside = np.abs(batch[:, ~ops.mask])
     if outside.size and np.max(outside) > 0.0:
         logger.warning("initial data has support outside the level-%d band; projecting",

@@ -10,8 +10,8 @@ exponential rate that is exactly sum gamma_m^2 - 2 beta for scalar diagonal G.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace as dc_replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -157,7 +157,6 @@ class FingerprintReport:
 
 
 def invariant_fingerprint(cfg: SdeConfig, initial_data: Sequence[Tuple[str, SpectralField]],
-                          t_final: Optional[float] = None,
                           phi_names: Sequence[str] = ("min_mass_1", "tanh_v_norm_sq"),
                           ) -> FingerprintReport:
     """Time-averaged functionals per initial datum, with pairwise and KS discrepancies.
@@ -169,8 +168,6 @@ def invariant_fingerprint(cfg: SdeConfig, initial_data: Sequence[Tuple[str, Spec
     """
     if len(initial_data) < 2:
         raise ConfigurationError("fingerprint needs at least 2 initial data")
-    if t_final is not None:
-        cfg = dc_replace(cfg, t_final=float(t_final))
     n = len(initial_data)
     ops = build_operators(cfg)
     u0 = _prepare_initial(lambda j: initial_data[j][1], cfg, ops, range(n))
@@ -221,7 +218,7 @@ class DecayRateFit:
     message: str = ""
 
 
-def decay_rate_fit(report: EnsembleReport, cfg: Optional[SdeConfig] = None) -> DecayRateFit:
+def decay_rate_fit(report: EnsembleReport) -> DecayRateFit:
     """Least-squares slope of log E[mass(t)] over the full time window.
 
     Weighted by the per-point delta-method sigma (stderr/mean) when the
@@ -229,7 +226,7 @@ def decay_rate_fit(report: EnsembleReport, cfg: Optional[SdeConfig] = None) -> D
     interval (chi-square inflated) and the plain OLS residual interval, since
     snapshot noise is serially correlated and WLS alone would understate it.
     """
-    cfg = report.cfg if cfg is None else cfg
+    cfg = report.cfg
     G = build_operators(cfg).G
     if G.C1 != 0.0:
         raise ConfigurationError(

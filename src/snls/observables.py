@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -52,11 +51,9 @@ def observe(u: SpectralField, alpha: float, t: float = 0.0) -> ObservableSample:
     return ObservableSample(t=t, **{name: float(v[0]) for name, v in values.items()})
 
 
-def mass_budget_residual(record: TrajectoryRecord,
-                         cfg: Optional[SdeConfig] = None) -> np.ndarray:
+def mass_budget_residual(record: TrajectoryRecord) -> np.ndarray:
     """residual(t) = mass(t) - mass(0) + 2 beta int_0^t mass - int_0^t hs_norm_sq."""
-    return _budget_residual_batch(record.times, record.table,
-                                  record.cfg if cfg is None else cfg)
+    return _budget_residual_batch(record.times, record.table, record.cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -73,10 +70,9 @@ class SupermartingaleTrace:
     lam: float
 
 
-def supermartingale_trace(report: EnsembleReport, lam: float,
-                          cfg: Optional[SdeConfig] = None) -> SupermartingaleTrace:
+def supermartingale_trace(report: EnsembleReport, lam: float) -> SupermartingaleTrace:
     """Trace of E[e^{lambda t} ||u||^2_H]; requires C1 = 0 and lambda < 2 beta - C1~^2."""
-    cfg = report.cfg if cfg is None else cfg
+    cfg = report.cfg
     G = build_operators(cfg).G
     if G.C1 != 0.0:
         raise ConfigurationError(
@@ -120,14 +116,15 @@ class ContractionReport:
 
 
 def contraction_diagnostic(u10: SpectralField, u20: SpectralField,
-                           cfg: SdeConfig, n_pairs: Optional[int] = None) -> ContractionReport:
+                           cfg: SdeConfig) -> ContractionReport:
     """Common-noise two-point motion weighted by the worst-case expansion rate.
 
     psi(t) = 2[||u1||_inf^{alpha-1} + ||u2||_inf^{alpha-1} - beta] + L_G with the
     sup-norm terms dropped in linear test mode (they bound the nonlinearity's
     local Lipschitz constant); D(t) = exp(-int_0^t psi) ||u1 - u2||^2_H.
+    cfg.paths sets the number of pairs.
     """
-    P = cfg.paths if n_pairs is None else int(n_pairs)
+    P = cfg.paths
     ops = build_operators(cfg)
     # rows p and P + p start from u10 and u20 and share noise stream p
     u0 = _prepare_initial(lambda r: u10 if r < P else u20, cfg, ops, range(2 * P))

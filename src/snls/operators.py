@@ -69,15 +69,6 @@ def rho(t) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SmoothedProjector:
-    level: int
-    weights: np.ndarray    # s_n(s_k) in [0, 1], aligned with mode_index_set
-
-    def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        return coeffs * self.weights
-
-
 def sharp_projector(n: int, basis: EigenBasis) -> np.ndarray:
     """Boolean mask of the band s_k < 2^{n+1}."""
     if n < 0:
@@ -85,7 +76,8 @@ def sharp_projector(n: int, basis: EigenBasis) -> np.ndarray:
     return basis.s_eigs < 2.0 ** (n + 1)
 
 
-def smoothed_projector(n: int, basis: EigenBasis) -> SmoothedProjector:
+def smoothed_projector(n: int, basis: EigenBasis) -> np.ndarray:
+    """Weights s_n(s_k) in [0, 1] of S_n, aligned with mode_index_set."""
     if n < 0:
         raise OperatorError("projector level must be non-negative")
     s = basis.s_eigs
@@ -94,7 +86,7 @@ def smoothed_projector(n: int, basis: EigenBasis) -> SmoothedProjector:
     w[s < lo] = 1.0
     band = (s >= lo) & (s < hi)
     w[band] = rho(s[band] / lo)
-    return SmoothedProjector(level=n, weights=w)
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +99,7 @@ def _check_alpha(alpha: float) -> None:
 
 def f_pointwise(values: np.ndarray, alpha: float) -> np.ndarray:
     if alpha == 3.0:
-        return values * values.real ** 2 + values * values.imag ** 2
+        return values * (values.real ** 2 + values.imag ** 2)
     return values * np.abs(values) ** (alpha - 1.0)
 
 
@@ -224,15 +216,15 @@ def make_noise_B(basis: EigenBasis, profiles: Sequence[str]) -> LinearNoiseB:
     )
 
 
-def stratonovich_correction(B: LinearNoiseB, S_n: Optional[SmoothedProjector] = None) -> np.ndarray:
+def stratonovich_correction(B: LinearNoiseB, w: Optional[np.ndarray] = None) -> np.ndarray:
     """Diagonal of b = -1/2 sum_m B_m^2, or b_n = -1/2 sum_m (S_n B_m S_n)^2.
 
-    S_n B_m S_n is diagonal with entry w_k^2 b_{m,k}, so the corrected entry
-    is -1/2 sum_m w_k^4 b_{m,k}^2.
+    w holds the weights of S_n.  S_n B_m S_n is diagonal with entry
+    w_k^2 b_{m,k}, so the corrected entry is -1/2 sum_m w_k^4 b_{m,k}^2.
     """
     bsq = B.multipliers ** 2
-    if S_n is not None:
-        bsq = bsq * S_n.weights ** 4
+    if w is not None:
+        bsq = bsq * w ** 4
     return -0.5 * np.sum(bsq, axis=0)
 
 

@@ -92,10 +92,6 @@ class EigenBasis:
     def n_modes(self) -> int:
         return len(self.mode_index_set)
 
-    @property
-    def n_grid(self) -> int:
-        return int(np.prod(self.grid_shape))
-
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Pointwise synthesis sum_k c_k h_k on the grid; batched over leading axes."""
         if coeffs.shape[-1] != self.n_modes:
@@ -201,14 +197,6 @@ def make_basis(kind: str, modes_per_axis: int, oversample: int = 2) -> EigenBasi
 # ---------------------------------------------------------------------------
 # public operations
 
-def to_spectral(values: np.ndarray, basis: EigenBasis) -> SpectralField:
-    return SpectralField(basis.analyze(values), basis)
-
-
-def from_spectral(u: SpectralField) -> np.ndarray:
-    return u.basis.synthesize(u.coeffs)
-
-
 def apply_frac_power(u: SpectralField, which: str, exponent: float) -> SpectralField:
     """Coefficient-wise multiplication by a_k^exponent or s_k^exponent.
 
@@ -248,7 +236,7 @@ def norms(u: SpectralField) -> NormRecord:
     absq = np.abs(u.coeffs) ** 2
     h = float(np.sum(absq))
     v = float(np.sum((1.0 + u.basis.a_eigs) * absq))
-    grid_abs = np.abs(from_spectral(u))
+    grid_abs = np.abs(u.basis.synthesize(u.coeffs))
     return NormRecord(h_norm_sq=h, v_norm_sq=v, basis=u.basis, _grid_abs=grid_abs)
 
 

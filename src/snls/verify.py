@@ -92,7 +92,7 @@ def _chk_projector_norm_bound():
         m = 8 if kind.endswith("2d") else 16
         basis = make_basis(kind, m)
         for n in range(7):
-            w = smoothed_projector(n, basis).weights
+            w = smoothed_projector(n, basis)
             worst = max(worst, float(np.max(w)) - 1.0, float(-np.min(w)))
     return max(worst, 0.0), 0.0
 
@@ -101,7 +101,7 @@ def _chk_projector_identity():
     basis = make_basis("torus1d", 16)
     n = int(math.ceil(math.log2(float(np.max(basis.s_eigs))))) + 1
     u = _rand_field(basis, 404)
-    w = smoothed_projector(n, basis).weights
+    w = smoothed_projector(n, basis)
     return float(np.max(np.abs(w * u.coeffs - u.coeffs))), 0.0
 
 
@@ -139,9 +139,9 @@ def _chk_f_antiderivative():
 def _chk_b_correction():
     basis = make_basis("torus1d", 16)
     B = make_noise_B(basis, ("0.2", "0.1/(1+lambda)"))
-    proj = smoothed_projector(3, basis)
-    corr = stratonovich_correction(B, proj)
-    resid = 2.0 * corr + np.sum((proj.weights ** 2 * B.multipliers) ** 2, axis=0)
+    w = smoothed_projector(3, basis)
+    corr = stratonovich_correction(B, w)
+    resid = 2.0 * corr + np.sum((w ** 2 * B.multipliers) ** 2, axis=0)
     return float(np.max(np.abs(resid))), 1e-15
 
 

@@ -158,7 +158,7 @@ def test_criterion_4_projector_suite():
             for n in range(7):
                 mask = sharp_projector(n, basis)
                 assert np.array_equal(mask, s < 2.0 ** (n + 1))
-                w = smoothed_projector(n, basis).weights
+                w = smoothed_projector(n, basis)
                 lo = 2.0 ** n
                 assert np.all(w[s < lo] == 1.0)
                 assert np.all(w[s >= 2.0 * lo] == 0.0)
@@ -168,7 +168,7 @@ def test_criterion_4_projector_suite():
                 # diagonal in the eigenbasis, so the H and V operator norms
                 # are both the largest weight
                 assert 0.0 <= w.min() and w.max() <= 1.0
-            w6 = smoothed_projector(6, basis).weights
+            w6 = smoothed_projector(6, basis)
             assert np.array_equal(w6 * u, u)
             assert np.array_equal(np.where(sharp_projector(6, basis), u, 0.0), u)
 
@@ -271,7 +271,7 @@ def test_criterion_7_common_noise_contraction():
                                 mass=1.0, s_scale=1.5, tilt=0.2).coeffs
         delta = delta * (1e-3 / np.sqrt(h_norm_sq(delta)))
         u20 = SpectralField(u10.coeffs + delta, ops.basis)
-        rep = contraction_diagnostic(u10, u20, cfg, n_pairs=1000)
+        rep = contraction_diagnostic(u10, u20, replace(cfg, paths=1000))
         assert abs(rep.d0 - 1e-6) <= 1e-12
         assert np.all(rep.d_mean <= 1.05 * rep.d0)
 

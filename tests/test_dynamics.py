@@ -10,7 +10,6 @@ from snls.dynamics import (
     BlowUpError,
     BrownianDriver,
     ConfigurationError,
-    GalerkinState,
     SdeConfig,
     build_operators,
     default_initial,
@@ -147,8 +146,7 @@ def test_em_mass_gain_equals_dt_squared_drift_norm():
     rec = simulate(cfg, default_initial(ops.basis, cfg.galerkin_level), collect_states=True)
     m = rec.table["mass"]
     for j in range(len(m) - 1):
-        state = GalerkinState(SpectralField(rec.states[j], ops.basis), 0.0)
-        d = drift(state, cfg, ops).coeffs
+        d = drift(SpectralField(rec.states[j], ops.basis), cfg, ops).coeffs
         pf = 1j * d - ops.basis.a_eigs * rec.states[j]   # isolate the F component
         gain = cfg.dt ** 2 * np.sum(np.abs(pf) ** 2)
         assert m[j + 1] - m[j] == pytest.approx(gain, rel=1e-8, abs=1e-16)
@@ -164,7 +162,7 @@ def test_single_mode_drift_coefficient():
     k, c = 3, 0.7 + 0.2j
     coeffs = np.zeros(ops.basis.n_modes, dtype=complex)
     coeffs[k] = c
-    d = drift(GalerkinState(SpectralField(coeffs, ops.basis), 0.0), cfg, ops).coeffs
+    d = drift(SpectralField(coeffs, ops.basis), cfg, ops).coeffs
 
     s = 1.0 + k ** 2
     corr = -0.5 * (0.2 ** 2 + (0.1 / (1.0 + s)) ** 2)
@@ -178,13 +176,13 @@ def test_drift_vanishes_at_zero_and_is_mass_neutral_without_damping():
     cfg = _cfg(beta=0.0, nonlinearity_enabled=True)
     ops = build_operators(cfg)
     zero = SpectralField(np.zeros(ops.basis.n_modes, dtype=complex), ops.basis)
-    assert np.all(drift(GalerkinState(zero, 0.0), cfg, ops).coeffs == 0.0)
+    assert np.all(drift(zero, cfg, ops).coeffs == 0.0)
 
     rng = np.random.default_rng(5)
     c = (rng.normal(size=ops.basis.n_modes) + 1j * rng.normal(size=ops.basis.n_modes))
     c *= ops.maskf
     u = SpectralField(c, ops.basis)
-    d = drift(GalerkinState(u, 0.0), cfg, ops).coeffs
+    d = drift(u, cfg, ops).coeffs
     ip = np.sum(np.conj(c) * d)
     assert abs(ip.real) < 1e-10 * abs(ip.imag)
 
@@ -276,6 +274,17 @@ def test_initial_datum_outside_band_is_projected_with_warning(caplog):
         rec = simulate(cfg, ones)
     assert "projecting" in caplog.text
     assert rec.table["mass"][0] == float(np.count_nonzero(ops.mask))
+
+
+@pytest.mark.parametrize("kind,oversample", [("torus1d", 2), ("neumann1d", 3)])
+def test_initial_datum_from_another_geometry_is_rejected(kind, oversample):
+    cfg = _cfg(domain_kind="neumann1d", modes_per_axis=16, oversample=2, paths=3)
+    datum = default_initial(make_basis(kind, 16, oversample), cfg.galerkin_level)
+    want = r"\('neumann1d', 16, 2\)"
+    with pytest.raises(ConfigurationError, match=rf"\('{kind}', 16, {oversample}\).*{want}"):
+        simulate(cfg, datum)
+    with pytest.raises(ConfigurationError, match=want):
+        simulate_ensemble(cfg, scaled_initial_factory(datum, seed=1))
 
 
 def test_snapshot_stride_does_not_change_the_path():

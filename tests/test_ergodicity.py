@@ -1,6 +1,7 @@
 """Time averages, occupation profiles, fingerprints, and decay-rate fits."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -162,7 +163,7 @@ def test_fingerprint_needs_two_initial_data_and_honours_t_final():
     u0 = default_initial(build_operators(cfg).basis, cfg.galerkin_level)
     with pytest.raises(ConfigurationError, match="at least 2"):
         invariant_fingerprint(cfg, [("only", u0)])
-    rep = invariant_fingerprint(cfg, [("a", u0), ("b", u0)], t_final=0.25,
+    rep = invariant_fingerprint(replace(cfg, t_final=0.25), [("a", u0), ("b", u0)],
                                 phi_names=("min_mass_1", "v_gt_2"))
     assert rep.window[1] == 0.25
     assert rep.phis == ("min_mass_1", "v_gt_2")

@@ -11,6 +11,7 @@ from snls.operators import (
     antiderivative_F,
     apply_F,
     apply_G,
+    f_pointwise,
     g_fields_batch,
     hs_norm_sq_batch,
     make_noise_B,
@@ -64,7 +65,7 @@ def test_sharp_projector_band():
 def test_smoothed_weights_band_values():
     # level 3: weight 1 for s < 8, rho(s/8) on [8,16), 0 at and beyond 16
     basis = make_basis("torus1d", 16)
-    w = smoothed_projector(3, basis).weights
+    w = smoothed_projector(3, basis)
     for s, wk in zip(basis.s_eigs, w):
         if s < 8.0:
             assert wk == 1.0
@@ -79,16 +80,16 @@ def test_smoothed_weights_band_values():
 def test_projector_contraction_and_identity(kind):
     basis = make_basis(kind, 8)
     for n in range(8):
-        w = smoothed_projector(n, basis).weights
+        w = smoothed_projector(n, basis)
         assert np.min(w) >= 0.0 and np.max(w) <= 1.0
     big = int(math.ceil(math.log2(float(np.max(basis.s_eigs))))) + 1
-    assert np.all(smoothed_projector(big, basis).weights == 1.0)
+    assert np.all(smoothed_projector(big, basis) == 1.0)
 
 
 def test_smoothed_inside_sharp():
     basis = make_basis("torus2d", 8)
     for n in range(6):
-        w = smoothed_projector(n, basis).weights
+        w = smoothed_projector(n, basis)
         mask = sharp_projector(n, basis)
         assert np.all((w > 0.0) <= mask)  # smoothed support within the sharp band
 
@@ -119,6 +120,15 @@ def test_f_homogeneity():
     scaled = apply_F(SpectralField(c * u.coeffs, basis), 3.0)
     want = abs(c) ** 2 * c * apply_F(u, 3.0).coeffs
     assert np.max(np.abs(scaled.coeffs - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_f_cubic_branch_matches_the_generic_power():
+    rng = np.random.default_rng(9)
+    v = rng.standard_normal((64, 33)) + 1j * rng.standard_normal((64, 33))
+    v[0, :4] = [0.0, 1e-90, 3e50j, -2.0]
+    got = f_pointwise(v, 3.0)
+    want = v * np.abs(v) ** 2
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
 
 def test_f_single_mode_algebra():
@@ -201,9 +211,9 @@ def test_b_operator_norms():
 def test_stratonovich_correction_identity():
     basis = make_basis("torus1d", 16)
     B = make_noise_B(basis, ("0.2", "0.1/(1+lambda)"))
-    proj = smoothed_projector(3, basis)
-    corr = stratonovich_correction(B, proj)
-    resid = 2.0 * corr + np.sum((proj.weights ** 2 * B.multipliers) ** 2, axis=0)
+    w = smoothed_projector(3, basis)
+    corr = stratonovich_correction(B, w)
+    resid = 2.0 * corr + np.sum((w ** 2 * B.multipliers) ** 2, axis=0)
     assert np.max(np.abs(resid)) < 1e-15
     assert np.all(corr <= 0.0)
     # without a projector the dressing weights are 1
@@ -226,7 +236,7 @@ def test_g_linear_diagonal_constants():
 def test_g_linear_dressed_intensity():
     basis = make_basis("torus1d", 16)
     G = make_noise_G(basis, "linear_diagonal", (0.4,), 3.0)
-    w = smoothed_projector(3, basis).weights
+    w = smoothed_projector(3, basis)
     u = random_field(basis, 13)
     hs = hs_norm_sq_batch(u.coeffs[None, :], G, basis, dress=w)[0]
     want = 0.16 * np.sum(w ** 4 * np.abs(u.coeffs) ** 2)
