@@ -63,7 +63,7 @@ def _default_config_path() -> Path:
 
 
 def _build_initial(cfg):
-    basis = make_basis(cfg.domain_kind, cfg.modes_per_axis, cfg.oversample)
+    basis = make_basis(cfg.domain_kind, cfg.modes_per_axis, cfg.oversample, cfg.galerkin_level)
     return default_initial(basis, cfg.galerkin_level)
 
 
@@ -100,7 +100,7 @@ def _run_ensemble(cfg, out: Path, checksum: str) -> int:
 
 
 def _run_invariant(cfg, out: Path, checksum: str) -> int:
-    basis = make_basis(cfg.domain_kind, cfg.modes_per_axis, cfg.oversample)
+    basis = make_basis(cfg.domain_kind, cfg.modes_per_axis, cfg.oversample, cfg.galerkin_level)
     family = default_initial_family(basis, cfg.galerkin_level, count=3)
     phis = ["min_mass_1", "tanh_v_norm_sq"] + [f"v_gt_{r:g}" for r in cfg.radii]
     rep = invariant_fingerprint(cfg, family, phi_names=phis)

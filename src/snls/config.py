@@ -132,7 +132,8 @@ def parse_config(text: str) -> SdeConfig:
 
 @dataclass
 class ConstantsReport:
-    """Growth constants of G, operator norms of B, and the two damping checks."""
+    """Growth constants of G, operator norms of B, the two damping checks, and
+    the grid the nonlinearity is evaluated on."""
 
     alpha: float
     beta: float
@@ -150,6 +151,9 @@ class ConstantsReport:
     damping_term_lp: float      # (alpha+1)/2 ||B||^2_Lp + alpha C3~^2
     beta_condition_ok: bool     # beta > max(term_v, term_lp)
     delta0_condition_ok: bool   # C1 = 0 and beta > C1~^2 / 2
+    grid_shape: Tuple[int, ...]  # quadrature nodes per axis
+    band_modes: int             # stored modes inside the band s_k < 2^{n+1}
+    alias_free: bool            # P_n F(u) exact on the grid: alpha odd, <= 2 oversample - 1
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -161,7 +165,7 @@ class ConstantsReport:
 
 
 def compute_constants(cfg: SdeConfig) -> ConstantsReport:
-    """Constants of the B and G that build_operators(cfg) gives the integrator."""
+    """Constants of the B, G and grid that build_operators(cfg) gives the integrator."""
     ops = build_operators(cfg)
     B, G = ops.B, ops.G
     term_v = G.C1t ** 2 + G.C2t ** 2 + B.v_opnorm_sq_sum
@@ -177,6 +181,10 @@ def compute_constants(cfg: SdeConfig) -> ConstantsReport:
         damping_term_lp=term_lp,
         beta_condition_ok=bool(cfg.beta > max(term_v, term_lp)),
         delta0_condition_ok=bool(G.C1 == 0.0 and cfg.beta > 0.5 * G.C1t ** 2),
+        grid_shape=ops.basis.grid_shape,
+        band_modes=int(np.count_nonzero(ops.mask)),
+        # |u|^(alpha-1) u is a product of alpha band fields only for odd integer alpha
+        alias_free=bool(cfg.alpha % 2.0 == 1.0 and cfg.alpha <= 2 * cfg.oversample - 1),
     )
 
 

@@ -165,7 +165,8 @@ def build_operators(cfg: SdeConfig, basis: Optional[EigenBasis] = None) -> Galer
     # No caller in the package passes `basis`; it stays because the benchmark's
     # mutation tests wrap this function as build_operators(cfg, basis).
     if basis is None:
-        basis = make_basis(cfg.domain_kind, cfg.modes_per_axis, cfg.oversample)
+        basis = make_basis(cfg.domain_kind, cfg.modes_per_axis, cfg.oversample,
+                           cfg.galerkin_level)
     mask = sharp_projector(cfg.galerkin_level, basis)
     w = smoothed_projector(cfg.galerkin_level, basis)
     B = make_noise_B(basis, cfg.b_profiles)
@@ -236,7 +237,12 @@ def _g_increment(u: np.ndarray, dWt: np.ndarray, ops: GalerkinOps) -> Optional[n
 
 
 def _nonlinear_coeffs(u: np.ndarray, ops: GalerkinOps, alpha: float) -> np.ndarray:
-    """P_n F(u) for a batch, dealiased on the oversampled grid."""
+    """P_n F(u) for a batch.
+
+    Exact on the band grid of make_basis when alpha is an odd integer at most
+    2 * oversample - 1; otherwise F(u) is not band-limited and the quadrature
+    aliases.
+    """
     grid = ops.basis.synthesize(u)
     return ops.maskf * ops.basis.analyze(f_pointwise(grid, alpha))
 
@@ -264,12 +270,15 @@ def _step_split_batch(u: np.ndarray, dW: np.ndarray, dWt: np.ndarray,
             phase = cfg.dt * (grid.real ** 2 + grid.imag ** 2)
         else:
             phase = cfg.dt * np.abs(grid) ** (cfg.alpha - 1.0)
-        grid = grid * np.exp(-1j * phase)
+        # in place: `grid * np.exp(..)` becomes `exp * grid` once numpy reuses
+        # the temporary (256 KiB and up), and the complex product rounds
+        # differently, so a row would depend on the batch size
+        grid *= np.exp(-1j * phase)
         u = ops.maskf * ops.basis.analyze(grid)
     if cfg.beta != 0.0:
         u = u * ops.damp
     if ops.B.n_modes:
-        u = u * np.exp(-1j * (dW @ ops.b_eff))
+        u *= np.exp(-1j * (dW @ ops.b_eff))
     g_inc = _g_increment(u, dWt, ops)
     if g_inc is not None:
         u = u + g_inc
@@ -312,6 +321,7 @@ class EnsembleReport:
     stderr: Dict[str, np.ndarray]
     mass_lag1_mean: np.ndarray            # E[mass(t_j) mass(t_{j+1})], length n_snap-1
     cfg: SdeConfig
+    G: StateNoiseG                        # the state noise the paths ran with
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +524,8 @@ def simulate_ensemble(cfg: SdeConfig, initial) -> EnsembleReport:
     var = {k: a.variance() for k, a in accs.items()}
     stderr = {k: np.sqrt(v / n_paths) for k, v in var.items()}
     return EnsembleReport(times=times, n_paths=n_paths, mean=mean, var=var,
-                          stderr=stderr, mass_lag1_mean=lag_sum / n_paths, cfg=cfg)
+                          stderr=stderr, mass_lag1_mean=lag_sum / n_paths, cfg=cfg,
+                          G=ops.G)
 
 
 def _budget_residual_batch(times: np.ndarray, tables: Dict[str, np.ndarray],

@@ -226,8 +226,7 @@ def decay_rate_fit(report: EnsembleReport) -> DecayRateFit:
     interval (chi-square inflated) and the plain OLS residual interval, since
     snapshot noise is serially correlated and WLS alone would understate it.
     """
-    cfg = report.cfg
-    G = build_operators(cfg).G
+    cfg, G = report.cfg, report.G
     if G.C1 != 0.0:
         raise ConfigurationError(
             f"decay-rate fit requires C1 = 0, but C1 = {G.C1:.6g} "

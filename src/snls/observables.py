@@ -72,8 +72,7 @@ class SupermartingaleTrace:
 
 def supermartingale_trace(report: EnsembleReport, lam: float) -> SupermartingaleTrace:
     """Trace of E[e^{lambda t} ||u||^2_H]; requires C1 = 0 and lambda < 2 beta - C1~^2."""
-    cfg = report.cfg
-    G = build_operators(cfg).G
+    cfg, G = report.cfg, report.G
     if G.C1 != 0.0:
         raise ConfigurationError(
             f"supermartingale trace requires C1 = 0, but C1 = {G.C1:.6g} "

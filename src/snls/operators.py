@@ -12,7 +12,7 @@ ever nonzero).  Both operators are self-adjoint, commute with A and S, and
 have operator norm at most 1 on H and on V.
 
 The nonlinearity is F(u) = |u|^{alpha-1} u with alpha > 1, evaluated
-pseudospectrally on the oversampled quadrature grid, with antiderivative
+pseudospectrally on the basis's quadrature grid, with antiderivative
 F_hat(u) = ||u||_{L^{alpha+1}}^{alpha+1} / (alpha + 1).
 
 B is a finite family of real diagonal spectral multipliers (self-adjoint,
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import ast
 import logging
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -279,12 +280,12 @@ def _lowest_modes(basis: EigenBasis, count: int) -> np.ndarray:
     return order[:count]
 
 
-def _eigenmode_fields(basis: EigenBasis, amps: Sequence[float]) -> np.ndarray:
-    idx = _lowest_modes(basis, len(amps))
-    g = np.zeros((len(amps), basis.n_modes), dtype=np.complex128)
-    for m, (a, j) in enumerate(zip(amps, idx)):
-        g[m, j] = a
-    return g
+def _eigenmode_sup(basis: EigenBasis, j: int) -> float:
+    """sup_x |h_k(x)| of stored mode j: per axis 1/sqrt(L) for an exponential
+    or the constant cosine, sqrt(2/L) for a sine or any other cosine."""
+    periodic = basis.kind.startswith("torus")
+    return math.prod(math.sqrt((1.0 if periodic or k == 0 else 2.0) / ax.measure)
+                     for k, ax in zip(basis.mode_index_set[j], basis.axes))
 
 
 def make_noise_G(basis: EigenBasis, variant: str, params: Sequence[float],
@@ -309,7 +310,9 @@ def make_noise_G(basis: EigenBasis, variant: str, params: Sequence[float],
         return StateNoiseG(variant, params, None, gam,
                            C1=0.0, C1t=c1t, C2=0.0, C2t=c1t, C3=0.0, C3t=c1t, L_G=c1t)
 
-    g = _eigenmode_fields(basis, params)
+    idx = _lowest_modes(basis, len(params))
+    g = np.zeros((len(params), basis.n_modes), dtype=np.complex128)
+    g[np.arange(len(params)), idx] = params
     g_grids = basis.synthesize(g)
     absq = np.abs(g) ** 2
     h_sq = np.sum(absq, axis=1)
@@ -317,7 +320,8 @@ def make_noise_G(basis: EigenBasis, variant: str, params: Sequence[float],
     grid_axes = tuple(range(1, g_grids.ndim))
     lp = (basis.quad_weight * np.sum(np.abs(g_grids) ** (alpha + 1.0), axis=grid_axes)) \
         ** (1.0 / (alpha + 1.0))
-    linf = np.max(np.abs(g_grids), axis=grid_axes)
+    # exact: the crest of a mode can fall between grid nodes
+    linf = np.abs(params) * np.array([_eigenmode_sup(basis, j) for j in idx])
 
     if variant == "additive":
         return StateNoiseG(variant, params, g, None,
@@ -386,4 +390,5 @@ def hs_norm_sq_batch(coeffs: np.ndarray, G: StateNoiseG, basis: EigenBasis,
     stack = g_fields_batch(v, G, basis)
     if dress is not None:
         stack = stack * dress
-    return np.sum(np.abs(stack) ** 2, axis=(0, -1))
+    # mode axis first, then noise axis: a row's sum does not depend on the batch size
+    return np.sum(np.sum(np.abs(stack) ** 2, axis=-1), axis=0)

@@ -19,6 +19,11 @@ complex exponentials on torus axes, sines (Dirichlet) and cosines (Neumann)
 on box axes.  Synthesis and analysis walk the table last axis first, are
 exact on band-limited fields and accept leading batch axes, so an ensemble
 of coefficient vectors transforms in one call.
+
+The grid is sized from the Galerkin band, not from the stored box: with
+q = oversample it has the fewest points per axis on which every stored mode
+stays orthonormal and the product of 2q - 1 band fields (the cubic |u|^2 u
+at q = 2) has no alias on a band frequency, so P_n F(u) is exact there.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -137,31 +142,61 @@ class SpectralField:
 # ---------------------------------------------------------------------------
 # construction
 
-def _axis_table(family: str, M: int, N: int):
-    """Per-axis entry of one family on N = oversample * M points, with the
-    S-shift of the spectrum.  Each family is discretely orthonormal under its
-    quadrature weight; phases are reduced mod 2 pi in integers."""
+def _axis_modes(family: str, M: int):
+    """Wavenumbers of the M stored modes of one axis, in storage order, and the S-shift."""
+    if family == "torus":
+        # k = 0, .., M/2-1, -M/2, .., -1
+        return (np.arange(M) + M // 2) % M - M // 2, 1.0
+    if family == "dirichlet":
+        return np.arange(1, M + 1), 0.0
+    return np.arange(M), NEUMANN_EPS
+
+
+def _grid_points(family: str, M: int, q: int, band_ks: np.ndarray) -> int:
+    """Points per axis: the fewest that keep every stored mode exact and let no
+    frequency of a product of 2q - 1 band fields land on a band frequency.
+
+    A torus grid of N points sends frequency m to m mod N.  The product
+    u^q conj(u)^(q-1) of band fields on [a, b] aliases onto a band frequency
+    only if a nonzero multiple of N lies in q [a, b] - q [a, b], so N must
+    exceed q (b - a): at q = 2 the cubic analogue of Orszag's 2/3 rule.  A
+    box axis reflects into a grid of period 2N over the frequencies -K, .., K,
+    so 2N must exceed 2 q K.  The same N makes the quadrature of |u|^(2q) exact.
+    """
+    # the sine family needs M + 1 intervals: sin(N x) vanishes on every node
+    floor = M + 1 if family == "dirichlet" else M
+    if not band_ks.size:
+        return floor
+    reach = band_ks.max() - band_ks.min() if family == "torus" else band_ks.max()
+    return max(floor, q * int(reach) + 1)
+
+
+def _axis_table(family: str, ks: np.ndarray, N: int) -> AxisTransform:
+    """Per-axis entry of one family on N points.  Each family is discretely
+    orthonormal under its quadrature weight; phases are reduced mod 2 pi in integers."""
     j = np.arange(N)
     if family == "torus":
-        # h_k(x) = exp(i k x) / sqrt(2 pi) on x_j = 2 pi j / N; stored k = 0, .., M/2-1, -M/2, .., -1
-        ks = (np.arange(M) + M // 2) % M - M // 2
-        nodes, measure, shift = j * (2.0 * np.pi / N), 2.0 * np.pi, 1.0
+        # h_k(x) = exp(i k x) / sqrt(2 pi) on x_j = 2 pi j / N
+        nodes, measure = j * (2.0 * np.pi / N), 2.0 * np.pi
         phi = np.exp(1j * (np.outer(ks, j) % N * (2.0 * np.pi / N))) / np.sqrt(2.0 * np.pi)
     elif family == "dirichlet":
         # h_k(x) = sqrt(2/pi) sin(k x) on the N-1 interior nodes x_j = j pi / N
-        ks, nodes, measure, shift = np.arange(1, M + 1), j[1:] * (np.pi / N), np.pi, 0.0
+        nodes, measure = j[1:] * (np.pi / N), np.pi
         phi = np.sqrt(2.0 / np.pi) * np.sin(np.outer(ks, j[1:]) % (2 * N) * (np.pi / N))
     else:
         # neumann: h_0 = 1/sqrt(pi), h_k = sqrt(2/pi) cos(k x) on the midpoints (j + 1/2) pi / N
-        ks, nodes, measure, shift = np.arange(M), (j + 0.5) * (np.pi / N), np.pi, NEUMANN_EPS
+        nodes, measure = (j + 0.5) * (np.pi / N), np.pi
         phi = np.sqrt(2.0 / np.pi) * np.cos(np.outer(ks, 2 * j + 1) % (4 * N) * (np.pi / (2 * N)))
         phi[0] = 1.0 / np.sqrt(np.pi)
-    ax = AxisTransform(ks, nodes, measure, *(
+    return AxisTransform(ks, nodes, measure, *(
         (m, m.astype(np.complex128, copy=False)) for m in (phi, phi.conj().T * (measure / N))))
-    return ax, shift
 
 
-def make_basis(kind: str, modes_per_axis: int, oversample: int = 2) -> EigenBasis:
+def make_basis(kind: str, modes_per_axis: int, oversample: int = 2,
+               level: Optional[int] = None) -> EigenBasis:
+    """The stored box of modes_per_axis modes per axis, on the grid that
+    dealiases products of 2 * oversample - 1 fields of the band s_k < 2^(level+1)
+    (the whole box when level is None)."""
     if kind not in BASIS_KINDS:
         raise BasisError(f"unknown basis kind {kind!r}; expected one of {BASIS_KINDS}")
     if modes_per_axis < 2:
@@ -170,13 +205,20 @@ def make_basis(kind: str, modes_per_axis: int, oversample: int = 2) -> EigenBasi
         raise BasisError("oversample must be at least 2 (Lp quadrature contract)")
     if kind.startswith("torus") and modes_per_axis % 2 != 0:
         raise BasisError("torus bases require an even modes_per_axis (k = -M/2 .. M/2-1)")
+    if level is not None and level < 0:
+        raise BasisError("level must be non-negative")
 
     dim = int(kind[-2])
+    family = kind[:-2]
     M = modes_per_axis
-    N = oversample * M
-    ax, s_shift = _axis_table(kind[:-2], M, N)
+    ks, s_shift = _axis_modes(family, M)
+    ksq = functools.reduce(np.add.outer, [ks.astype(float) ** 2] * dim)
+    # the band is a disk: its extent on one axis is the same on every axis
+    band = np.ones(ksq.shape, bool) if level is None else s_shift + ksq < 2.0 ** (level + 1)
+    N = _grid_points(family, M, oversample, ks[band.any(axis=tuple(range(1, dim)))])
+    ax = _axis_table(family, ks, N)
     axes = (ax,) * dim
-    ksq = functools.reduce(np.add.outer, [a.ks.astype(float) ** 2 for a in axes]).ravel()
+    ksq = ksq.ravel()
     return EigenBasis(
         kind=kind,
         modes_per_axis=M,

@@ -67,6 +67,28 @@ def test_simulate_writes_the_trajectory_contract(tmp_path):
     assert "damping_term_v" in manifest["constants"]
     assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
     assert manifest["versions"]["python"] == "%d.%d.%d" % sys.version_info[:3]
+    # the level-4 band |k| <= 5 of 16 torus modes, on 4 K + 1 nodes
+    assert manifest["constants"]["grid_shape"] == [21]
+    assert manifest["constants"]["band_modes"] == 11
+    assert manifest["constants"]["alias_free"] is True
+
+
+def test_ensemble_builds_the_basis_once_per_consumer(tmp_path, monkeypatch):
+    import snls.spectral
+    real = snls.spectral.make_basis
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "snls" and getattr(module, "make_basis", None) is real:
+            monkeypatch.setattr(module, "make_basis", counted)
+    cfg = _write_cfg(tmp_path, BASE_CFG)
+    assert main(["ensemble", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    # the constants echo, the initial datum and the driver; the supermartingale
+    # trace reads G from the ensemble report
+    assert len(calls) == 3
 
 
 def test_simulate_zero_horizon_has_one_row(tmp_path):

@@ -141,6 +141,19 @@ def test_constants_conditions_flip_with_weak_damping():
     assert rep.delta0_condition_ok is False   # 0.05 < 0.13 / 2
 
 
+@pytest.mark.parametrize("alpha, oversample, alias_free", [
+    (3.0, 2, True), (3.0, 3, True), (5.0, 2, False), (5.0, 3, True), (2.5, 4, False),
+    (4.0, 4, False),
+])
+def test_alias_free_needs_an_odd_power_within_the_oversample(alpha, oversample, alias_free):
+    text = GOOD.replace("alpha = 3", f"alpha = {alpha}").replace(
+        "domain.oversample = 2", f"domain.oversample = {oversample}")
+    rep = compute_constants(parse_config(text))
+    assert rep.alias_free is alias_free
+    # the band |k| <= 5 of the level-4 torus: 2 oversample K + 1 nodes
+    assert rep.band_modes == 11 and rep.grid_shape == (10 * oversample + 1,)
+
+
 def test_run_manifest_is_valid_json():
     cfg = parse_config(GOOD)
     man = RunManifest(mode="simulate", out_dir="/tmp/x", tool_version="0.1.0",

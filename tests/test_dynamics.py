@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from snls.dynamics import (
+    SCHEMES,
     BlowUpError,
     BrownianDriver,
     ConfigurationError,
@@ -20,7 +21,8 @@ from snls.dynamics import (
     simulate,
     simulate_ensemble,
 )
-from snls.spectral import SpectralField, make_basis
+from snls.operators import G_VARIANTS
+from snls.spectral import BASIS_KINDS, SpectralField, make_basis
 
 
 def _rho_oracle(t: float) -> float:
@@ -285,6 +287,35 @@ def test_initial_datum_from_another_geometry_is_rejected(kind, oversample):
         simulate(cfg, datum)
     with pytest.raises(ConfigurationError, match=want):
         simulate_ensemble(cfg, scaled_initial_factory(datum, seed=1))
+
+
+@pytest.mark.parametrize("kind", BASIS_KINDS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("g_variant", G_VARIANTS)
+@pytest.mark.parametrize("b_on", [False, True])
+def test_a_row_does_not_depend_on_the_batch_size(kind, scheme, g_variant, b_on):
+    # numpy reuses a temporary operand of 256 KiB or more in place, which can
+    # swap the operands of a complex product and change its rounding.  One
+    # noise component each keeps dW @ b_eff and the G mixes single products,
+    # exact under any BLAS kernel.
+    cfg = _cfg(domain_kind=kind, modes_per_axis=8 if kind.endswith("2d") else 16,
+               scheme=scheme, beta=0.5, nonlinearity_enabled=True, t_final=0.005,
+               snapshot_stride=1, b_profiles=("0.1/(1+lambda)",) if b_on else (),
+               g_variant=g_variant, g_params=(0.3,) if g_variant != "none" else ())
+    ops = build_operators(cfg)
+    u0 = default_initial(ops.basis, cfg.galerkin_level, mass=3.0).coeffs[None]
+    P = 1 + 2 ** 18 // (16 * min(ops.basis.n_modes, math.prod(ops.basis.grid_shape)))
+    _, tab1, _, states1 = integrate_paths(cfg, ops, u0, [0], collect_states=True)
+    _, tabP, _, statesP = integrate_paths(cfg, ops, np.repeat(u0, P, axis=0), range(P),
+                                          collect_states=True)
+    # a 1-D transform of one row is a BLAS matrix-vector product, of a batch a
+    # matrix-matrix product, and the two kernels round differently; a 2-D
+    # transform is one matrix-matrix product per row at any batch size
+    tol = 1e-13 if ops.basis.dim == 1 else 0.0
+    scale = np.max(np.abs(states1))
+    assert np.max(np.abs(statesP[:, 0] - states1[:, 0])) <= tol * scale
+    for name, row in tab1.items():
+        assert np.max(np.abs(tabP[name][0] - row[0])) <= tol * np.max(np.abs(row[0])), name
 
 
 def test_snapshot_stride_does_not_change_the_path():

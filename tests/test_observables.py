@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import snls.dynamics
 from snls.dynamics import (
     ConfigurationError,
     EnsembleReport,
@@ -16,6 +17,7 @@ from snls.dynamics import (
     simulate,
     simulate_ensemble,
 )
+from snls.ergodicity import decay_rate_fit
 from snls.observables import (
     contraction_diagnostic,
     mass_budget_residual,
@@ -169,15 +171,29 @@ def test_supermartingale_audit_flags_a_rising_trace():
     times = np.array([0.0, 0.1, 0.2])
     mass = np.array([1.0, 1.2, 1.5])
     zeros = np.zeros_like(mass)
+    cfg = _cfg(beta=5.0, t_final=0.2, snapshot_stride=100)
     rep = EnsembleReport(
         times=times, n_paths=100,
         mean={"mass": mass}, var={"mass": zeros + 1e-8},
         stderr={"mass": zeros + 1e-5},
         mass_lag1_mean=mass[:-1] * mass[1:],
-        cfg=_cfg(beta=5.0, t_final=0.2, snapshot_stride=100))
+        cfg=cfg, G=build_operators(cfg).G)
     tr = supermartingale_trace(rep, 0.0)
     assert np.array_equal(tr.value, mass)
     assert tr.violations.tolist() == [0, 1]
+
+
+def test_report_diagnostics_read_g_from_the_report(monkeypatch):
+    cfg = _cfg(beta=1.0, t_final=0.05, snapshot_stride=10, paths=3,
+               g_variant="linear_diagonal", g_params=(0.3,))
+    rep = simulate_ensemble(cfg, default_initial(
+        build_operators(cfg).basis, cfg.galerkin_level))
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("the basis was built again")
+    monkeypatch.setattr(snls.dynamics, "make_basis", rebuilt)
+    assert supermartingale_trace(rep, 0.5).violations.size == 0
+    assert decay_rate_fit(rep).rate < 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,20 @@ def test_g_bounded_nemytskii():
     assert hs_big <= G.C1 ** 2 * (1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("kind, crests", [
+    ("torus1d", [(2 * math.pi) ** -0.5] * 2),
+    ("dirichlet2d", [2 / math.pi] * 2),            # sin(x) sin(2y): crest at x = pi/2
+    ("neumann1d", [math.pi ** -0.5, (2 / math.pi) ** 0.5]),
+    ("neumann2d", [1 / math.pi, math.sqrt(2) / math.pi]),   # cos(y): crest on the wall
+])
+def test_g_nemytskii_sup_norms_are_the_crests_of_its_modes(kind, crests):
+    # the grid of 17 intervals has no node at pi/2, and midpoints never reach a wall
+    G = make_noise_G(make_basis(kind, 8), "bounded_nemytskii", (0.3, 0.2), 3.0)
+    want = SIGMA_LIP * math.sqrt(sum((a * c) ** 2 for a, c in zip((0.3, 0.2), crests)))
+    assert G.L_G == pytest.approx(want, rel=1e-14)
+    assert G.C2t == G.L_G
+
+
 def test_apply_g_matches_batched_intensity():
     basis = make_basis("torus1d", 16)
     G = make_noise_G(basis, "linear_diagonal", (0.3, 0.2), 3.0)

@@ -3,6 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from snls import spectral
+from snls.config import compute_constants
+from snls.dynamics import SdeConfig, _nonlinear_coeffs, build_operators, state_functionals
+from snls.operators import f_pointwise, sharp_projector
 from snls.spectral import (
     BASIS_KINDS,
     BasisError,
@@ -13,6 +17,7 @@ from snls.spectral import (
     norms,
     v_norm_sq,
 )
+from snls.verify import ALIAS_CASES
 
 
 def small(kind):
@@ -277,3 +282,74 @@ def test_matrix_axes_roundtrip_on_small_and_odd_grids(kind, modes, oversample):
     c = rng.standard_normal((3, basis.n_modes)) + 1j * rng.standard_normal((3, basis.n_modes))
     back = basis.analyze(basis.synthesize(c))
     assert np.max(np.abs(back - c)) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# grid sized from the Galerkin band
+
+@pytest.mark.parametrize("kind, modes, level, shape", [
+    ("dirichlet2d", 32, 8, (44, 44)),     # N = 45 intervals: 2 K + 1 with K = 22
+    ("torus1d", 16, 4, (21,)),            # the shipped default.cfg: 4 K + 1 with K = 5
+    ("torus1d", 32, 9, (63,)),            # the box cuts the band: k = -16 .. 15
+    ("dirichlet1d", 16, None, (32,)),     # full band: 2M + 1 intervals, 2M interior nodes
+    ("dirichlet2d", 16, None, (32, 32)),
+    ("torus2d", 16, None, (31, 31)),
+    ("neumann2d", 16, None, (31, 31)),
+])
+def test_grid_is_sized_from_the_band(kind, modes, level, shape):
+    assert make_basis(kind, modes, 2, level).grid_shape == shape
+
+
+def _flat_band_field(basis, level, seed=5):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(basis.n_modes) + 1j * rng.standard_normal(basis.n_modes)
+    return c * sharp_projector(level, basis)
+
+
+def _band_cubic(basis, u, level):
+    return sharp_projector(level, basis) * basis.analyze(f_pointwise(basis.synthesize(u), 3.0))
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("kind, modes, level", ALIAS_CASES)
+def test_band_cubic_on_the_engine_grid_equals_a_4x_finer_grid(kind, modes, level):
+    # fails on a Dirichlet box sized 2M per axis: the cubic folds 3K onto K
+    cfg = SdeConfig(domain_kind=kind, modes_per_axis=modes, galerkin_level=level)
+    ops = build_operators(cfg)
+    u = _flat_band_field(ops.basis, level)
+    fine = make_basis(kind, modes, 4 * cfg.oversample, level)
+    assert math.prod(fine.grid_shape) > 3 ** ops.basis.dim * math.prod(ops.basis.grid_shape)
+    got = _nonlinear_coeffs(u[None], ops, 3.0)[0]
+    assert _rel(got, _band_cubic(fine, u, level)) < 1e-12
+    assert compute_constants(cfg).alias_free
+
+
+@pytest.mark.parametrize("kind, modes, level", ALIAS_CASES)
+def test_one_point_fewer_per_axis_aliases(kind, modes, level, monkeypatch):
+    basis = make_basis(kind, modes, 2, level)
+    u = _flat_band_field(basis, level)
+    want = _band_cubic(make_basis(kind, modes, 8, level), u, level)
+    grid_points = spectral._grid_points
+    monkeypatch.setattr(spectral, "_grid_points", lambda *args: grid_points(*args) - 1)
+    short = make_basis(kind, modes, 2, level)
+    # the alias bound binds here, so every stored mode is still exact on the short grid
+    eye = np.eye(short.n_modes, dtype=np.complex128)
+    assert np.max(np.abs(short.analyze(short.synthesize(eye)) - eye)) < 1e-12
+    assert _rel(_band_cubic(short, u, level), want) > 1e-6
+
+
+@pytest.mark.parametrize("kind, modes, level", ALIAS_CASES)
+def test_quartic_energy_quadrature_is_exact_on_the_band_grid(kind, modes, level):
+    basis = make_basis(kind, modes, 2, level)
+    fine = make_basis(kind, modes, 8, level)
+    u = _flat_band_field(basis, level)[None]
+    got = state_functionals(u, basis, 3.0)["energy"]
+    assert got == pytest.approx(state_functionals(u, fine, 3.0)["energy"], rel=1e-12, abs=0.0)
+
+
+def test_band_level_is_validated():
+    with pytest.raises(BasisError, match="level"):
+        make_basis("torus1d", 8, 2, -1)
