@@ -17,8 +17,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .spectral import BasisError, make_basis
-from .operators import OperatorError
+from .spectral import make_basis
 from .dynamics import (
     BlowUpError,
     ConfigurationError,
@@ -29,7 +28,7 @@ from .dynamics import (
     simulate_ensemble,
 )
 from .observables import supermartingale_trace
-from .ergodicity import invariant_fingerprint
+from .ergodicity import invariant_fingerprint, radius_indicator
 from .config import (
     RunManifest,
     compute_constants,
@@ -102,7 +101,7 @@ def _run_ensemble(cfg, out: Path, checksum: str) -> int:
 def _run_invariant(cfg, out: Path, checksum: str) -> int:
     basis = make_basis(cfg.domain_kind, cfg.modes_per_axis, cfg.oversample, cfg.galerkin_level)
     family = default_initial_family(basis, cfg.galerkin_level, count=3)
-    phis = ["min_mass_1", "tanh_v_norm_sq"] + [f"v_gt_{r:g}" for r in cfg.radii]
+    phis = ["min_mass_1", "tanh_v_norm_sq"] + [radius_indicator(r) for r in cfg.radii]
     rep = invariant_fingerprint(cfg, family, phi_names=phis)
     window = f"{rep.window[0]:.17g}:{rep.window[1]:.17g}"
     rows = []
@@ -176,7 +175,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.paths is not None:
             cfg = replace(cfg, paths=args.paths)
         constants = compute_constants(cfg)
-    except (ConfigurationError, BasisError, OperatorError) as exc:
+    except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -209,7 +208,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BlowUpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigurationError, BasisError, OperatorError) as exc:
+    except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

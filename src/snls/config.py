@@ -11,7 +11,7 @@ import hashlib
 import json
 import platform
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 # the manifest records its version; perfbench/worker.py also reads
@@ -46,7 +46,7 @@ def _parse_floats(s: str) -> Tuple[float, ...]:
 # key -> (config field, parser, constraint text or None)
 _SCALAR_KEYS = {
     "domain.kind": ("domain_kind", str.strip, f"one of {BASIS_KINDS}"),
-    "domain.modes_per_axis": ("modes_per_axis", int, "a positive integer"),
+    "domain.modes_per_axis": ("modes_per_axis", int, "an integer >= 2, even on tori"),
     "domain.oversample": ("oversample", int, "an integer >= 2"),
     "galerkin.level": ("galerkin_level", int, "a non-negative integer"),
     "alpha": ("alpha", float, "a real exceeding 1"),
@@ -75,7 +75,7 @@ def parse_config(text: str) -> SdeConfig:
     seen_lines: Dict[str, int] = {}
     fields: Dict[str, object] = {}
     profiles: Dict[int, str] = {}
-    b_count: Optional[int] = None
+    b_count = 0
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -113,8 +113,6 @@ def parse_config(text: str) -> SdeConfig:
         except ValueError:
             raise ConfigError(f"key {key!r}: expected {constraint}, got {value!r}")
 
-    if b_count is None:
-        b_count = 0
     for m in profiles:
         if m > b_count:
             raise ConfigError(f"key 'noise.B.{m}.profile' exceeds noise.B.count = {b_count}")
@@ -159,23 +157,22 @@ class ConstantsReport:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
     def lines(self):
-        d = self.to_dict()
-        out = [f"{k} = {v}" for k, v in d.items()]
-        return out
+        return [f"{k} = {v}" for k, v in self.to_dict().items()]
 
 
 def compute_constants(cfg: SdeConfig) -> ConstantsReport:
     """Constants of the B, G and grid that build_operators(cfg) gives the integrator."""
     ops = build_operators(cfg)
     B, G = ops.B, ops.G
-    term_v = G.C1t ** 2 + G.C2t ** 2 + B.v_opnorm_sq_sum
+    term_v = G.C1t ** 2 + G.C2t ** 2 + B.h_opnorm_sq_sum
     term_lp = 0.5 * (cfg.alpha + 1.0) * B.lp_opnorm_sq_sum_bound + cfg.alpha * G.C3t ** 2
     return ConstantsReport(
         alpha=cfg.alpha, beta=cfg.beta,
         c1=G.C1, c1_tilde=G.C1t, c2=G.C2, c2_tilde=G.C2t, c3=G.C3, c3_tilde=G.C3t,
         l_g=G.L_G,
         b_h_norm_sq=B.h_opnorm_sq_sum,
-        b_v_norm_sq=B.v_opnorm_sq_sum,
+        # a diagonal multiplier has the same operator norm on H and on V
+        b_v_norm_sq=B.h_opnorm_sq_sum,
         b_lp_norm_sq=B.lp_opnorm_sq_sum_bound,
         damping_term_v=term_v,
         damping_term_lp=term_lp,

@@ -28,11 +28,13 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .spectral import BASIS_KINDS, EigenBasis, SpectralField, make_basis, v_norm_sq
+from .spectral import (BASIS_KINDS, ConfigurationError, EigenBasis, SpectralField,
+                       make_basis, v_norm_sq)
 from .operators import (
     G_VARIANTS,
     LinearNoiseB,
     StateNoiseG,
+    _check_alpha,
     f_pointwise,
     hs_norm_sq_batch,
     make_noise_B,
@@ -52,10 +54,10 @@ _NOISE_STREAM = 0
 _INIT_STREAM = 2
 _RNG_BLOCK = 256          # steps drawn per driver call; the draws do not depend on it
 _ENSEMBLE_CHUNK = 2048    # paths simulate_ensemble integrates together
-
-
-class ConfigurationError(ValueError):
-    pass
+# config key of each real-valued SdeConfig field but alpha, which _check_alpha covers
+_REAL_KEYS = {"beta": "beta", "dt": "dt", "t_final": "t_final",
+              "g_params": "noise.G.params", "burn_in_fraction": "run.burn_in_fraction",
+              "radii": "run.radii", "smg_lambda": "run.lambda"}
 
 
 class BlowUpError(RuntimeError):
@@ -106,8 +108,11 @@ class SdeConfig:
         if self.g_variant not in G_VARIANTS:
             raise ConfigurationError(f"key 'noise.G.variant': expected one of {G_VARIANTS}, "
                                      f"got {self.g_variant!r}")
-        if not (self.alpha > 1.0):
-            raise ConfigurationError("alpha must exceed 1")
+        _check_alpha(self.alpha)
+        for name, key in _REAL_KEYS.items():
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ConfigurationError(f"key {key!r}: expected finite values, got {value}")
         if self.dt <= 0.0:
             raise ConfigurationError("dt must be positive")
         if self.t_final < 0.0:
@@ -115,7 +120,7 @@ class SdeConfig:
         if self.t_final > 0.0 and self.dt > self.t_final:
             raise ConfigurationError("dt must not exceed t_final")
         ratio = self.t_final / self.dt
-        if abs(ratio - round(ratio)) > 1e-6 * max(1.0, ratio):
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-6 * max(1.0, ratio):
             raise ConfigurationError("t_final must be an integer multiple of dt")
         if self.galerkin_level < 0:
             raise ConfigurationError("galerkin.level must be non-negative")
@@ -129,11 +134,12 @@ class SdeConfig:
             raise ConfigurationError("seed must be a non-negative integer")
         if not (0.0 <= self.burn_in_fraction < 1.0):
             raise ConfigurationError("run.burn_in_fraction must lie in [0, 1)")
-        radii = self.radii
-        if len(radii) and any(b <= a for a, b in zip(radii, radii[1:])):
+        if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
             raise ConfigurationError("key 'run.radii': radii must be strictly ascending")
-        if self.modes_per_axis < 1:
-            raise ConfigurationError("key 'domain.modes_per_axis': must be positive")
+        if self.modes_per_axis < 2 or (self.domain_kind.startswith("torus")
+                                       and self.modes_per_axis % 2):
+            raise ConfigurationError("key 'domain.modes_per_axis': must be at least 2, "
+                                     f"and even on tori, got {self.modes_per_axis}")
         if self.oversample < 2:
             raise ConfigurationError("key 'domain.oversample': must be an integer >= 2")
         return self

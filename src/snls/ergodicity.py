@@ -9,16 +9,16 @@ exponential rate that is exactly sum gamma_m^2 - 2 beta for scalar diagonal G.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
 from . import dynamics
 from .spectral import SpectralField
 from .dynamics import (
-    OBSERVABLE_NAMES,
     ConfigurationError,
     EnsembleReport,
     SdeConfig,
@@ -28,7 +28,8 @@ from .dynamics import (
 )
 
 # Bounded functionals of the snapshot observables.  Each maps an observable
-# table (name -> array) to an array of the same length with range [0, 1].
+# table (name -> array) elementwise to an array of the same shape with range
+# [0, 1], so it evaluates a batch table (name -> (rows, snapshots)) at once.
 
 def min_mass_1(tab: Dict[str, np.ndarray]) -> np.ndarray:
     return np.minimum(tab["mass"], 1.0)
@@ -55,12 +56,15 @@ def radius_indicator(radius: float):
     return phi
 
 
-def resolve_phi(name: str):
-    if name in PHI_REGISTRY:
-        return PHI_REGISTRY[name]
-    if name.startswith("v_gt_"):
-        return radius_indicator(float(name[len("v_gt_"):]))
-    raise ConfigurationError(f"unknown functional {name!r}; "
+def resolve_phi(phi):
+    """A functional from a registered name or a v_gt_<R> name; a callable passes through."""
+    if callable(phi):
+        return phi
+    if phi in PHI_REGISTRY:
+        return PHI_REGISTRY[phi]
+    if phi.startswith("v_gt_"):
+        return radius_indicator(float(phi[len("v_gt_"):]))
+    raise ConfigurationError(f"unknown functional {phi!r}; "
                              f"registered: {sorted(PHI_REGISTRY)} and v_gt_<R>")
 
 
@@ -111,8 +115,7 @@ def _window_average(times: np.ndarray, values: np.ndarray, t0: float, t1: float)
 def time_average(record: TrajectoryRecord, phi, burn_in: float,
                  initial_tag: str = "") -> TimeAverageReport:
     """Trapezoid average of phi over [burn_in, T], with quarter sub-averages."""
-    if isinstance(phi, str):
-        phi = resolve_phi(phi)
+    phi = resolve_phi(phi)
     t = record.times
     T = float(t[-1])
     if burn_in >= T and T > 0.0:
@@ -135,11 +138,7 @@ def tightness_profile(record: TrajectoryRecord, radii: Sequence[float]) -> Tight
     if len(radii) and np.any(np.diff(radii) <= 0.0):
         raise ConfigurationError("radii must be strictly ascending")
     t = record.times
-    vsq = record.table["v_norm_sq"]
-    fracs = []
-    for r in radii:
-        ind = (vsq > r ** 2).astype(float)
-        fracs.append(_window_average(t, ind, t[0], t[-1]))
+    fracs = [_window_average(t, radius_indicator(r)(record.table), t[0], t[-1]) for r in radii]
     return TightnessProfile(radii=radii, fractions=np.array(fracs))
 
 
@@ -157,14 +156,16 @@ class FingerprintReport:
 
 
 def invariant_fingerprint(cfg: SdeConfig, initial_data: Sequence[Tuple[str, SpectralField]],
-                          phi_names: Sequence[str] = ("min_mass_1", "tanh_v_norm_sq"),
+                          phi_names: Sequence = ("min_mass_1", "tanh_v_norm_sq"),
                           ) -> FingerprintReport:
     """Time-averaged functionals per initial datum, with pairwise and KS discrepancies.
 
     All initial data run as one batch on noise stream 0, the stream `simulate`
-    uses, so they differ only in where they start.  The Kolmogorov-Smirnov
-    distance compares the empirical distributions of the post-burn-in snapshot
-    samples of each scalar functional across initial data.
+    uses, so they differ only in where they start.  Each functional, given by
+    name or as a callable labelled by its __name__, is evaluated once on the
+    batch table.  The Kolmogorov-Smirnov distance compares the empirical
+    distributions of the post-burn-in snapshot samples of each scalar
+    functional across initial data.
     """
     if len(initial_data) < 2:
         raise ConfigurationError("fingerprint needs at least 2 initial data")
@@ -172,35 +173,21 @@ def invariant_fingerprint(cfg: SdeConfig, initial_data: Sequence[Tuple[str, Spec
     ops = build_operators(cfg)
     u0 = _prepare_initial(lambda j: initial_data[j][1], cfg, ops, range(n))
     # looked up on the module, so a wrapper installed there sees the call
-    times, tables, u, _ = dynamics.integrate_paths(cfg, ops, u0, [0] * n)
-    records = [(tag, TrajectoryRecord(times=times,
-                                      table={k: tables[k][j] for k in OBSERVABLE_NAMES},
-                                      final_state=SpectralField(u[j], ops.basis), cfg=cfg))
-               for j, (tag, _) in enumerate(initial_data)]
+    times, tables, _, _ = dynamics.integrate_paths(cfg, ops, u0, [0] * n)
     burn_in = cfg.burn_in_fraction * cfg.t_final
+    keep = times >= burn_in
 
-    phis = tuple(phi_names)
-    tags = tuple(tag for tag, _ in records)
-    values = np.empty((len(phis), len(tags)))
-    samples: List[List[np.ndarray]] = []
-    for i, name in enumerate(phis):
-        phi = resolve_phi(name)
-        row_samples = []
-        for j, (tag, rec) in enumerate(records):
-            values[i, j] = time_average(rec, phi, burn_in, initial_tag=tag).value
-            keep = rec.times >= burn_in
-            row_samples.append(phi(rec.table)[keep])
-        samples.append(row_samples)
-
-    pairwise = np.zeros(len(phis))
+    phis = [resolve_phi(p) for p in phi_names]
+    values = np.empty((len(phis), n))
     ks = np.zeros(len(phis))
-    for i in range(len(phis)):
-        for a in range(n):
-            for b in range(a + 1, n):
-                pairwise[i] = max(pairwise[i], abs(values[i, a] - values[i, b]))
-                ks[i] = max(ks[i], ks_statistic(samples[i][a], samples[i][b]))
-    return FingerprintReport(phis=phis, tags=tags, values=values,
-                             pairwise_max=pairwise, ks_max=ks,
+    for i, phi in enumerate(phis):
+        rows = phi(tables)
+        values[i] = [_window_average(times, row, burn_in, times[-1]) for row in rows]
+        ks[i] = max(ks_statistic(rows[a, keep], rows[b, keep])
+                    for a, b in itertools.combinations(range(n), 2))
+    return FingerprintReport(phis=tuple(getattr(p, "__name__", "phi") for p in phis),
+                             tags=tuple(tag for tag, _ in initial_data), values=values,
+                             pairwise_max=np.ptp(values, axis=1), ks_max=ks,
                              window=(burn_in, cfg.t_final))
 
 

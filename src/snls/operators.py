@@ -31,14 +31,14 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .spectral import EigenBasis, SpectralField
+from .spectral import ConfigurationError, EigenBasis, SpectralField
 
 logger = logging.getLogger(__name__)
 
 G_VARIANTS = ("none", "additive", "linear_diagonal", "bounded_nemytskii")
 
 
-class OperatorError(ValueError):
+class OperatorError(ConfigurationError):
     pass
 
 
@@ -180,10 +180,8 @@ def _rewrite_lambda(expr: str) -> str:
 class LinearNoiseB:
     """Finite family of self-adjoint diagonal multipliers B_m."""
 
-    profiles: Tuple[str, ...]
     multipliers: np.ndarray                 # shape (M, n_modes), real
     h_opnorm_sq_sum: float                  # sum_m ||B_m||_{L(H)}^2 = sum_m max_k b^2
-    v_opnorm_sq_sum: float                  # equal for diagonal multipliers
     lp_opnorm_sq_sum_bound: float           # upper bound for the L^{alpha+1} gamma-norm
 
     @property
@@ -209,10 +207,8 @@ def make_noise_B(basis: EigenBasis, profiles: Sequence[str]) -> LinearNoiseB:
     mult = np.array(mults).reshape(len(profiles), basis.n_modes)
     maxsq = float(np.sum(np.max(mult ** 2, axis=1))) if len(profiles) else 0.0
     return LinearNoiseB(
-        profiles=tuple(profiles),
         multipliers=mult,
         h_opnorm_sq_sum=maxsq,
-        v_opnorm_sq_sum=maxsq,
         lp_opnorm_sq_sum_bound=lp_bound_sq if len(profiles) else 0.0,
     )
 
@@ -246,7 +242,6 @@ class StateNoiseG:
     """G with growth constants ||G(u)|| <= C_i + C~_i ||u|| on H, V, L^{alpha+1}."""
 
     variant: str
-    params: Tuple[float, ...]
     g_coeffs: Optional[np.ndarray]     # (M~, n_modes) for additive / bounded_nemytskii
     gammas: Optional[np.ndarray]       # (M~,) for linear_diagonal
     C1: float
@@ -299,7 +294,7 @@ def make_noise_G(basis: EigenBasis, variant: str, params: Sequence[float],
     if variant not in G_VARIANTS:
         raise OperatorError(f"unknown G variant {variant!r}; expected one of {G_VARIANTS}")
     if variant == "none":
-        return StateNoiseG("none", (), None, None, 0, 0, 0, 0, 0, 0, 0)
+        return StateNoiseG("none", None, None, 0, 0, 0, 0, 0, 0, 0)
     if len(params) == 0:
         raise OperatorError(f"G variant {variant!r} needs at least one parameter")
     params = tuple(float(p) for p in params)
@@ -307,7 +302,7 @@ def make_noise_G(basis: EigenBasis, variant: str, params: Sequence[float],
     if variant == "linear_diagonal":
         gam = np.array(params)
         c1t = float(np.sqrt(np.sum(gam ** 2)))
-        return StateNoiseG(variant, params, None, gam,
+        return StateNoiseG(variant, None, gam,
                            C1=0.0, C1t=c1t, C2=0.0, C2t=c1t, C3=0.0, C3t=c1t, L_G=c1t)
 
     idx = _lowest_modes(basis, len(params))
@@ -324,7 +319,7 @@ def make_noise_G(basis: EigenBasis, variant: str, params: Sequence[float],
     linf = np.abs(params) * np.array([_eigenmode_sup(basis, j) for j in idx])
 
     if variant == "additive":
-        return StateNoiseG(variant, params, g, None,
+        return StateNoiseG(variant, g, None,
                            C1=float(np.sqrt(np.sum(h_sq))),
                            C1t=0.0,
                            C2=float(np.sqrt(np.sum(v_sq))),
@@ -336,7 +331,7 @@ def make_noise_G(basis: EigenBasis, variant: str, params: Sequence[float],
 
     # bounded_nemytskii: |sigma| <= 1 gives the bounded assignment;
     # the V growth splits into sigma(u) grad g + g sigma'(u) grad u.
-    return StateNoiseG(variant, params, g, None,
+    return StateNoiseG(variant, g, None,
                        C1=float(SIGMA_BOUND * np.sqrt(np.sum(h_sq))),
                        C1t=0.0,
                        C2=float(SIGMA_BOUND * np.sqrt(np.sum(v_sq))),

@@ -40,7 +40,11 @@ BASIS_KINDS = ("torus1d", "torus2d", "dirichlet1d", "dirichlet2d", "neumann1d", 
 NEUMANN_EPS = 1.0
 
 
-class BasisError(ValueError):
+class ConfigurationError(ValueError):
+    """An input the library rejects; every layer's input error derives from it."""
+
+
+class BasisError(ConfigurationError):
     pass
 
 

@@ -355,20 +355,14 @@ def _chk_checksum_sensitivity():
     return (1.0 if a == b else 0.0), 0.0
 
 
-def _chk_duplicate_key():
-    try:
-        parse_config("alpha = 3\nalpha = 2\n")
-    except ConfigError as exc:
-        return (0.0 if "line" in str(exc) else 1.0), 0.0
-    return 1.0, 0.0
-
-
-def _chk_alpha_reject():
-    try:
-        parse_config("alpha = 0.5\n")
-    except ConfigurationError as exc:
-        return (0.0 if "alpha must exceed 1" in str(exc) else 1.0), 0.0
-    return 1.0, 0.0
+def _chk_reject(text: str, needle: str, error=ConfigurationError):
+    def run():
+        try:
+            parse_config(text)
+        except error as exc:
+            return (0.0 if needle in str(exc) else 1.0), 0.0
+        return 1.0, 0.0
+    return run
 
 
 CHECKS: List[Tuple[str, str, Callable]] = [
@@ -410,8 +404,10 @@ CHECKS: List[Tuple[str, str, Callable]] = [
     ("tightness_chebyshev", "occupation bounded by the second moment", _chk_tightness_chebyshev),
     ("decay_rate_zero_noise", "deterministic decay rate equals -2 beta", _chk_decay_rate_zero_noise),
     ("config_checksum_sensitivity", "checksum tracks config bytes", _chk_checksum_sensitivity),
-    ("config_duplicate_key", "duplicate keys rejected with line numbers", _chk_duplicate_key),
-    ("config_alpha_reject", "alpha constraint enforced", _chk_alpha_reject),
+    ("config_duplicate_key", "duplicate keys rejected with line numbers",
+     _chk_reject("alpha = 3\nalpha = 2\n", "line", ConfigError)),
+    ("config_alpha_reject", "alpha constraint enforced", _chk_reject("alpha = 0.5\n", "alpha must exceed 1")),
+    ("config_non_finite_reject", "non-finite reals rejected by key", _chk_reject("dt = nan\n", "key 'dt'")),
 ]
 
 

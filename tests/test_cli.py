@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from snls.cli import main
@@ -208,6 +209,40 @@ def test_config_errors_exit_2_with_stderr(tmp_path, capsys):
     rc = main(["simulate", "--config", str(odd), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_non_finite_and_off_rule_values_exit_2_without_a_traceback(tmp_path, capsys):
+    cases = ["dt = nan", "t_final = inf", "t_final = 1e300\ndt = 1e-10", "alpha = inf",
+             "beta = nan", "noise.G.variant = linear_diagonal\nnoise.G.params = nan",
+             "domain.modes_per_axis = 1", "domain.modes_per_axis = 15"]
+    for text in cases:
+        cfg = _write_cfg(tmp_path, text + "\n")
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2, text
+        assert err.startswith("error: ") and "Traceback" not in err, text
+
+
+def test_invariant_tests_each_configured_radius_exactly(tmp_path, monkeypatch):
+    # a radius parsed back from a 6-digit label would test 0.1234567 against 0.123457^2
+    import snls.cli
+    from snls.ergodicity import resolve_phi
+    handed = []
+    real = snls.cli.invariant_fingerprint
+
+    def spy(cfg, family, phi_names):
+        handed.extend(phi_names)
+        return real(cfg, family, phi_names=phi_names)
+
+    monkeypatch.setattr(snls.cli, "invariant_fingerprint", spy)
+    radii = (0.1234567, 2.0)
+    cfg = _write_cfg(tmp_path, BASE_CFG.replace("run.radii = 1, 2", "run.radii = 0.1234567, 2"))
+    assert main(["invariant", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert len(handed) == 2 + len(radii)
+    for r, phi in zip(radii, handed[2:]):
+        phi = resolve_phi(phi) if isinstance(phi, str) else phi
+        assert phi({"v_norm_sq": np.array([np.nextafter(r * r, np.inf)])})[0] == 1.0, r
+        assert phi({"v_norm_sq": np.array([r * r])})[0] == 0.0, r
 
 
 def test_horizon_off_the_step_grid_exits_2_before_any_output(tmp_path, capsys):

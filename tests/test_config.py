@@ -89,6 +89,16 @@ def test_full_config_parses_every_key():
     ("seed = -1", "seed"),
     ("run.burn_in_fraction = 1.5", "burn_in"),
     ("dt = 0.5\nt_final = 0.1", "dt must not exceed t_final"),
+    ("dt = nan", "key 'dt'"),
+    ("t_final = inf", "key 't_final'"),
+    ("t_final = 1e300\ndt = 1e-10", "t_final must be an integer multiple of dt"),
+    ("alpha = inf", "alpha must exceed 1"),
+    ("beta = nan", "key 'beta'"),
+    ("noise.G.variant = linear_diagonal\nnoise.G.params = 0.3, nan", "key 'noise.G.params'"),
+    ("run.radii = 1, inf", "key 'run.radii'"),
+    ("run.lambda = nan", "key 'run.lambda'"),
+    ("domain.modes_per_axis = 1", "key 'domain.modes_per_axis'"),
+    ("domain.modes_per_axis = 15", "key 'domain.modes_per_axis'"),
 ])
 def test_rejections_name_the_key_and_constraint(text, needle):
     with pytest.raises(ConfigurationError, match=None) as exc:
@@ -98,6 +108,13 @@ def test_rejections_name_the_key_and_constraint(text, needle):
 
 def test_config_error_is_a_configuration_error():
     assert issubclass(ConfigError, ConfigurationError)
+
+
+def test_every_layer_raises_input_errors_as_configuration_errors():
+    from snls.operators import OperatorError
+    from snls.spectral import BasisError
+    assert issubclass(BasisError, ConfigurationError)
+    assert issubclass(OperatorError, ConfigurationError)
 
 
 def test_checksum_is_byte_sensitive_and_stable():

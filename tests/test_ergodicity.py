@@ -170,6 +170,21 @@ def test_fingerprint_needs_two_initial_data_and_honours_t_final():
     assert np.all((rep.values >= 0.0) & (rep.values <= 1.0))
 
 
+def test_fingerprint_evaluates_each_functional_once():
+    calls = []
+
+    def counted(tab):
+        calls.append(tab["mass"].shape)
+        return np.minimum(tab["mass"], 1.0)
+
+    cfg = _cfg(t_final=0.25)
+    fam = default_initial_family(build_operators(cfg).basis, cfg.galerkin_level, count=3)
+    rep = invariant_fingerprint(cfg, fam, phi_names=(counted, "min_mass_1"))
+    assert calls == [(3, 26)]                  # one call on the whole batch table
+    assert rep.phis == ("counted", "min_mass_1")
+    assert np.array_equal(rep.values[0], rep.values[1])
+
+
 @pytest.mark.parametrize("b_profiles", [(), ("0.3", "0.1/(1+lambda)")])
 def test_fingerprint_batch_matches_per_datum_simulate(b_profiles):
     # The fingerprint runs its initial data as rows of one batch on stream 0;
