@@ -19,11 +19,13 @@ import numpy as np
 from . import __version__
 from .spectral import make_basis
 from .dynamics import (
+    _ENSEMBLE_CHUNK,
     BlowUpError,
     ConfigurationError,
     OBSERVABLE_NAMES,
     default_initial,
     default_initial_family,
+    engine_info,
     simulate,
     simulate_ensemble,
 )
@@ -39,6 +41,7 @@ from .config import (
 MODES = ("simulate", "ensemble", "invariant", "verify")
 
 _TRAJ_COLUMNS = ("t",) + OBSERVABLE_NAMES
+_FAMILY_SIZE = 3    # initial data of the invariant fingerprint, one batch row each
 
 
 def _fmt(x: float) -> str:
@@ -100,7 +103,7 @@ def _run_ensemble(cfg, out: Path, checksum: str) -> int:
 
 def _run_invariant(cfg, out: Path, checksum: str) -> int:
     basis = make_basis(cfg.domain_kind, cfg.modes_per_axis, cfg.oversample, cfg.galerkin_level)
-    family = default_initial_family(basis, cfg.galerkin_level, count=3)
+    family = default_initial_family(basis, cfg.galerkin_level, count=_FAMILY_SIZE)
     phis = ["min_mass_1", "tanh_v_norm_sq"] + [radius_indicator(r) for r in cfg.radii]
     rep = invariant_fingerprint(cfg, family, phi_names=phis)
     window = f"{rep.window[0]:.17g}:{rep.window[1]:.17g}"
@@ -186,8 +189,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: cannot create output directory {out}: {exc}", file=sys.stderr)
         return 2
 
+    # rows of the engine batch each mode runs; verify runs batches of its own
+    rows = {"simulate": 1, "ensemble": min(cfg.paths, _ENSEMBLE_CHUNK),
+            "invariant": _FAMILY_SIZE}.get(args.mode)
     manifest = RunManifest(mode=args.mode, out_dir=str(out), tool_version=__version__,
-                           config_checksum=checksum, cfg=cfg, constants=constants)
+                           config_checksum=checksum, cfg=cfg, constants=constants,
+                           engine=engine_info(rows, constants.grid_shape))
     try:
         (out / "run_manifest.json").write_text(manifest.to_json() + "\n")
     except OSError as exc:

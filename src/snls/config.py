@@ -193,6 +193,7 @@ class RunManifest:
     config_checksum: str
     cfg: SdeConfig
     constants: ConstantsReport
+    engine: dict                # dynamics.engine_info of the run's batch
 
     def to_json(self) -> str:
         body = {
@@ -203,6 +204,7 @@ class RunManifest:
             "config": {k: (list(v) if isinstance(v, tuple) else v)
                        for k, v in self.cfg.__dict__.items()},
             "constants": self.constants.to_dict(),
+            "engine": self.engine,
             "versions": {"python": platform.python_version(), "numpy": np.__version__,
                          "scipy": scipy.__version__},
         }

@@ -21,15 +21,21 @@ one RNG stream layout (master_seed, path_index).
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import ctypes
+import functools
 import logging
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .spectral import (BASIS_KINDS, ConfigurationError, EigenBasis, SpectralField,
-                       make_basis, v_norm_sq)
+                       check_level, make_basis, v_norm_sq)
 from .operators import (
     G_VARIANTS,
     LinearNoiseB,
@@ -54,6 +60,9 @@ _NOISE_STREAM = 0
 _INIT_STREAM = 2
 _RNG_BLOCK = 256          # steps drawn per driver call; the draws do not depend on it
 _ENSEMBLE_CHUNK = 2048    # paths simulate_ensemble integrates together
+# rows x grid points of a step per engine thread: on a 2-core VM a 2-way split
+# of the steppers lost below about 16k and won above it
+_THREAD_WORK = 8192
 # config key of each real-valued SdeConfig field but alpha, which _check_alpha covers
 _REAL_KEYS = {"beta": "beta", "dt": "dt", "t_final": "t_final",
               "g_params": "noise.G.params", "burn_in_fraction": "run.burn_in_fraction",
@@ -122,8 +131,7 @@ class SdeConfig:
         ratio = self.t_final / self.dt
         if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-6 * max(1.0, ratio):
             raise ConfigurationError("t_final must be an integer multiple of dt")
-        if self.galerkin_level < 0:
-            raise ConfigurationError("galerkin.level must be non-negative")
+        check_level(self.galerkin_level)
         if self.scheme not in SCHEMES:
             raise ConfigurationError(f"scheme must be one of {SCHEMES}")
         if self.snapshot_stride < 1:
@@ -384,35 +392,160 @@ def _prepare_initial(initial, cfg: SdeConfig, ops: GalerkinOps,
     return batch * ops.maskf
 
 
+def _cores() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None.
+
+    Looked up at the first engine call, not at import."""
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextlib.contextmanager
+def _blas_pinned():
+    """Hold OpenBLAS at one thread, then restore the count it had; a no-op
+    without the symbols.  The count is process-wide, so engine calls made
+    from several threads at once can restore it out of order."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    old = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(old)
+
+
+def engine_threads(rows: int, grid_shape: Sequence[int]) -> int:
+    """Threads integrate_paths splits a batch of `rows` rows over.
+
+    One per _THREAD_WORK rows x grid points of a step, at most one per core
+    and one per two rows: a 1-D transform of a single row is a BLAS
+    matrix-vector product, which rounds unlike the matrix-matrix product of
+    a batch.  One when OpenBLAS cannot be pinned: its own threads would
+    compete with the row threads.
+    """
+    if _openblas_threads() is None:
+        return 1
+    work = rows * math.prod(grid_shape)
+    return max(1, min(_cores(), rows // 2, work // _THREAD_WORK))
+
+
+def engine_info(rows: Optional[int], grid_shape: Sequence[int]) -> Dict[str, object]:
+    """What the engine runs a batch of `rows` rows on, for the run manifest;
+    threads is None when no single batch size describes the run."""
+    return {"cpu_affinity": _cores(),
+            "threads": None if rows is None else engine_threads(rows, grid_shape),
+            "blas_pinned": _openblas_threads() is not None}
+
+
 def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
                     streams: Sequence[int], collect_states: bool = False):
     """Advance a batch of paths in lockstep, sampling observables on the stride grid.
 
     streams[r] is the noise-stream key of row r: the row is driven by the
     Brownian increments of (cfg.seed, streams[r]).  Rows with the same key
-    share one driver and so see the same noise (common-noise pairs,
-    fingerprints from several initial data); an ensemble gives every row
-    its own key.  Returns (times, tables, final batch, states), where states
-    is (n_snap, P, n_modes) when collect_states is set and None otherwise.
+    see the same noise (common-noise pairs, fingerprints from several
+    initial data); an ensemble gives every row its own key.  Returns
+    (times, tables, final batch, states), where states is (n_snap, P,
+    n_modes) when collect_states is set and None otherwise.
+
+    A large batch runs as contiguous row slices, one per engine_threads
+    thread, with OpenBLAS held at one thread for the call.  Each slice
+    builds its own driver for each of its keys, so a row's result does not
+    depend on the split, and a BlowUpError names what a serial run would.
     """
     P = u0_batch.shape[0]
     if len(streams) != P:
         raise ConfigurationError(f"one stream key per path is required: "
                                  f"{len(streams)} keys for {P} paths")
-    # driver slot per distinct key, in first-seen order; slots[r] is row r's driver
-    index = {k: i for i, k in enumerate(dict.fromkeys(int(k) for k in streams))}
-    slots = np.array([index[int(k)] for k in streams])
-    n_steps = cfg.n_steps
+    streams = [int(k) for k in streams]
     snap_steps = _snapshot_steps(cfg)
+    tables = {name: np.empty((P, len(snap_steps))) for name in OBSERVABLE_NAMES}
+    states = np.empty((len(snap_steps), P, ops.basis.n_modes), dtype=np.complex128) \
+        if collect_states else None
+    u = np.empty((P, ops.basis.n_modes), dtype=np.complex128)
+
+    def run(rows: slice):
+        u[rows] = _integrate_rows(cfg, ops, u0_batch[rows], streams[rows], snap_steps,
+                                  {name: t[rows] for name, t in tables.items()},
+                                  None if states is None else states[:, rows])
+
+    n = engine_threads(P, ops.basis.grid_shape)
+    bounds = [P * i // n for i in range(n + 1)]
+    with _blas_pinned():
+        if n == 1:
+            run(slice(0, P))
+        else:
+            _run_slices(run, [slice(a, b) for a, b in zip(bounds, bounds[1:])])
+    return snap_steps * cfg.dt, tables, u, states
+
+
+def _run_slices(run, slices: Sequence[slice]) -> None:
+    """run(s) for every slice, the first on this thread and each other on its own.
+
+    Raises the first error that is not a BlowUpError, else the blow-up a
+    serial run raises: the earliest step; at that step a non-finite row
+    before a finite one, then the largest V-norm, then the lowest row.
+    """
+    errors: list = [None] * len(slices)
+
+    def work(i: int):
+        try:
+            run(slices[i])
+        except Exception as exc:   # re-raised below, on the calling thread
+            errors[i] = exc
+
+    # each thread runs in a copy of the caller's context, so np.errstate holds there too
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(work, i))
+               for i in range(1, len(slices))]
+    for t in threads:
+        t.start()
+    try:
+        work(0)
+    finally:
+        for t in threads:
+            t.join()
+    for exc in errors:
+        if exc is not None and not isinstance(exc, BlowUpError):
+            raise exc
+    blow_ups = [(s.start + e.path_index, e) for s, e in zip(slices, errors) if e is not None]
+    if blow_ups:
+        row, e = min(blow_ups, key=lambda b: (b[1].step, math.isfinite(b[1].v_norm),
+                                              -b[1].v_norm, b[0]))
+        raise BlowUpError(e.step, e.t, e.v_norm, row) from None
+
+
+def _integrate_rows(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
+                    streams: Sequence[int], snap_steps: np.ndarray,
+                    tables: Dict[str, np.ndarray], states: Optional[np.ndarray]) -> np.ndarray:
+    """The serial engine: advance the rows, writing into the views tables and
+    states; returns the final batch.  A BlowUpError names a row of this batch."""
+    # driver slot per distinct key, in first-seen order; slots[r] is row r's driver
+    index = {k: i for i, k in enumerate(dict.fromkeys(streams))}
+    slots = np.array([index[k] for k in streams])
+    n_steps = cfg.n_steps
     snapset = {int(s): i for i, s in enumerate(snap_steps)}
     stepper = _STEPPERS[cfg.scheme]
 
     drivers = [BrownianDriver(cfg.seed, k, ops.B.n_modes, ops.G.n_modes, cfg.dt)
                for k in index]
-
-    tables = {name: np.empty((P, len(snap_steps))) for name in OBSERVABLE_NAMES}
-    states = np.empty((len(snap_steps), P, ops.basis.n_modes), dtype=np.complex128) \
-        if collect_states else None
 
     u = u0_batch.copy()
 
@@ -423,7 +556,7 @@ def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
         obs = _observe_batch(u, cfg, ops)
         for name in OBSERVABLE_NAMES:
             tables[name][:, i] = obs[name]
-        if collect_states:
+        if states is not None:
             states[i] = u
 
     record(0)
@@ -450,9 +583,7 @@ def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
             if vsq[worst] > BLOWUP_V_NORM ** 2:
                 raise BlowUpError(step, step * cfg.dt, float(np.sqrt(vsq[worst])), worst)
             record(step)
-
-    times = snap_steps * cfg.dt
-    return times, tables, u, states
+    return u
 
 
 def simulate(cfg: SdeConfig, initial: SpectralField,

@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .spectral import ConfigurationError, EigenBasis, SpectralField
+from .spectral import ConfigurationError, EigenBasis, SpectralField, check_level
 
 logger = logging.getLogger(__name__)
 
@@ -72,15 +72,13 @@ def rho(t) -> np.ndarray:
 
 def sharp_projector(n: int, basis: EigenBasis) -> np.ndarray:
     """Boolean mask of the band s_k < 2^{n+1}."""
-    if n < 0:
-        raise OperatorError("projector level must be non-negative")
+    check_level(n)
     return basis.s_eigs < 2.0 ** (n + 1)
 
 
 def smoothed_projector(n: int, basis: EigenBasis) -> np.ndarray:
     """Weights s_n(s_k) in [0, 1] of S_n, aligned with mode_index_set."""
-    if n < 0:
-        raise OperatorError("projector level must be non-negative")
+    check_level(n)
     s = basis.s_eigs
     w = np.zeros_like(s)
     lo, hi = 2.0 ** n, 2.0 ** (n + 1)

@@ -48,6 +48,12 @@ class BasisError(ConfigurationError):
     pass
 
 
+def check_level(level: int) -> None:
+    """The Galerkin level rule, n >= 0, for every layer that takes a level."""
+    if level < 0:
+        raise BasisError(f"galerkin.level must be non-negative, got {level}")
+
+
 @dataclass(frozen=True)
 class AxisTransform:
     """One axis of a separable basis: stored modes, grid nodes and 1-D transform pair.
@@ -209,8 +215,8 @@ def make_basis(kind: str, modes_per_axis: int, oversample: int = 2,
         raise BasisError("oversample must be at least 2 (Lp quadrature contract)")
     if kind.startswith("torus") and modes_per_axis % 2 != 0:
         raise BasisError("torus bases require an even modes_per_axis (k = -M/2 .. M/2-1)")
-    if level is not None and level < 0:
-        raise BasisError("level must be non-negative")
+    if level is not None:
+        check_level(level)
 
     dim = int(kind[-2])
     family = kind[:-2]

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: output contracts, overrides, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 
 from snls.cli import main
 from snls.config import config_checksum
+from snls.dynamics import engine_info
 
 BASE_CFG = """
 domain.kind = torus1d
@@ -72,6 +74,10 @@ def test_simulate_writes_the_trajectory_contract(tmp_path):
     assert manifest["constants"]["grid_shape"] == [21]
     assert manifest["constants"]["band_modes"] == 11
     assert manifest["constants"]["alias_free"] is True
+    # one row runs serial; the count comes from the function the engine calls
+    assert manifest["engine"] == engine_info(1, (21,))
+    assert manifest["engine"]["threads"] == 1
+    assert manifest["engine"]["cpu_affinity"] == len(os.sched_getaffinity(0))
 
 
 def test_ensemble_builds_the_basis_once_per_consumer(tmp_path, monkeypatch):

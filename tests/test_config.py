@@ -12,7 +12,7 @@ from snls.config import (
     config_checksum,
     parse_config,
 )
-from snls.dynamics import ConfigurationError
+from snls.dynamics import ConfigurationError, engine_info
 
 
 GOOD = """
@@ -173,11 +173,13 @@ def test_alias_free_needs_an_odd_power_within_the_oversample(alpha, oversample, 
 
 def test_run_manifest_is_valid_json():
     cfg = parse_config(GOOD)
+    constants = compute_constants(cfg)
     man = RunManifest(mode="simulate", out_dir="/tmp/x", tool_version="0.1.0",
-                      config_checksum=config_checksum(GOOD), cfg=cfg,
-                      constants=compute_constants(cfg))
+                      config_checksum=config_checksum(GOOD), cfg=cfg, constants=constants,
+                      engine=engine_info(1, constants.grid_shape))
     body = json.loads(man.to_json())
     assert body["mode"] == "simulate"
+    assert body["engine"]["threads"] == 1
     assert body["config"]["b_profiles"] == ["0.2", "0.1/(1+lambda)"]
     assert body["config"]["radii"] == [1.0, 2.0, 4.0]
     assert body["constants"]["beta_condition_ok"] is True

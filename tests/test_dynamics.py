@@ -2,10 +2,12 @@
 
 import logging
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from snls import dynamics
 from snls.dynamics import (
     SCHEMES,
     BlowUpError,
@@ -526,3 +528,137 @@ def test_scaled_initial_factory_is_reproducible_and_bounded():
     assert np.all((factors >= 0.7) & (factors <= 1.3))
     assert factors.std() > 0.05
     assert abs(factors.mean() - 1.0) < 0.05
+
+
+# ---------------------------------------------------------------------------
+# rows on threads
+
+def _threads(monkeypatch, n):
+    monkeypatch.setattr(dynamics, "engine_threads", lambda rows, grid_shape: n)
+
+
+@pytest.mark.parametrize("kind", BASIS_KINDS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("g_variant", G_VARIANTS)
+@pytest.mark.parametrize("b_on", [False, True])
+def test_a_row_does_not_depend_on_the_split(kind, scheme, g_variant, b_on, monkeypatch):
+    cfg = _cfg(domain_kind=kind, modes_per_axis=8 if kind.endswith("2d") else 16,
+               scheme=scheme, beta=0.5, nonlinearity_enabled=True, t_final=0.005,
+               snapshot_stride=1, b_profiles=("0.1/(1+lambda)", "0.05") if b_on else (),
+               g_variant=g_variant, g_params=(0.3, 0.1) if g_variant != "none" else ())
+    ops = build_operators(cfg)
+    u0 = default_initial(ops.basis, cfg.galerkin_level, mass=3.0).coeffs
+    batch = u0 * (1.0 + 0.1 * np.arange(8))[:, None]
+    # keys shared across the slices 0-2, 2-5 and 5-8 of the 3-thread split
+    for streams in ([0] * 8, np.tile(np.arange(4), 2)):
+        runs = []
+        for n in (1, 3):
+            _threads(monkeypatch, n)
+            runs.append(integrate_paths(cfg, ops, batch, streams, collect_states=True))
+        (_, tab1, u1, states1), (_, tab3, u3, states3) = runs
+        assert np.array_equal(u3, u1) and np.array_equal(states3, states1)
+        for name, table in tab1.items():
+            assert np.array_equal(tab3[name], table), name
+
+
+def _antidamped_rows(amplitudes, **kw):
+    # ito_exp_em with beta = -30 multiplies the mass by (1 + 0.3)^2 per step
+    cfg = _cfg(scheme="ito_exp_em", beta=-30.0, dt=1e-2, t_final=1.0, snapshot_stride=10, **kw)
+    ops = build_operators(cfg)
+    u0 = default_initial(ops.basis, cfg.galerkin_level)
+    return cfg, u0, np.array([a * u0.coeffs for a in amplitudes])
+
+
+def _blow_up(cfg, ops, batch, monkeypatch, n):
+    _threads(monkeypatch, n)
+    # rows of 1e200 overflow at once; the error state must reach every thread
+    with pytest.raises(BlowUpError) as exc, np.errstate(over="ignore", invalid="ignore"):
+        integrate_paths(cfg, ops, batch, range(len(batch)))
+    e = exc.value
+    assert f"(path {e.path_index})" in str(e)
+    return e.step, e.t, e.v_norm, e.path_index
+
+
+@pytest.mark.parametrize("amplitudes, path", [
+    ((0, 1, 0, 0, 1, 0), 1),           # same step, same norm: the lower row
+    ((0, 1, 0, 0, 1.01, 0), 4),        # same step: the larger norm
+    ((0, 1e-3, 0, 0, 1, 0), 4),        # different steps: the earlier
+    ((0, 1, 0, 0, 1e-3, 0), 1),
+    ((0, 1e9, 0, 0, 1e200, 0), 4),     # step 1: non-finite before finite
+    ((0, 1e200, 0, 1e200, 1e9, 0), 1), # then the lower non-finite row
+])
+def test_blow_up_does_not_depend_on_the_split(amplitudes, path, monkeypatch):
+    cfg, _, batch = _antidamped_rows(amplitudes)
+    ops = build_operators(cfg)
+    serial = _blow_up(cfg, ops, batch, monkeypatch, 1)
+    assert serial[3] == path
+    for n in (2, 3):
+        assert _blow_up(cfg, ops, batch, monkeypatch, n) == serial
+
+
+def test_blow_up_on_threads_names_the_ensemble_path(monkeypatch):
+    # chunks of 6 paths on 2 threads; paths 7 and 10 of the second chunk blow up
+    monkeypatch.setattr(dynamics, "_ENSEMBLE_CHUNK", 6)
+    cfg, u0, _ = _antidamped_rows((), paths=12)
+    amp = {7: 1e-3, 10: 1.0}
+    initial = lambda p: SpectralField(amp.get(p, 0.0) * u0.coeffs, u0.basis)
+    got = []
+    for n in (1, 2):
+        _threads(monkeypatch, n)
+        with pytest.raises(BlowUpError) as exc:
+            simulate_ensemble(cfg, initial)
+        e = exc.value
+        got.append((e.step, e.t, e.v_norm, e.path_index))
+    assert got[0] == got[1] and got[0][3] == 10
+
+
+def _counting_stepper(monkeypatch, get):
+    """Wrap every stepper to record the OpenBLAS thread count and the thread it runs on."""
+    seen = set()
+    for scheme, step in list(dynamics._STEPPERS.items()):
+        def counted(u, dW, dWt, cfg, ops, step=step):
+            seen.add((get(), threading.get_ident()))
+            return step(u, dW, dWt, cfg, ops)
+        monkeypatch.setitem(dynamics._STEPPERS, scheme, counted)
+    return seen
+
+
+def test_blas_is_pinned_inside_the_engine_and_restored_after(monkeypatch):
+    blas = dynamics._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    get, set_ = blas
+    before = get()
+    cfg, _, batch = _antidamped_rows((1.0,) * 4 + (0,) * 4)
+    ops = build_operators(cfg)
+    seen = _counting_stepper(monkeypatch, get)
+    _threads(monkeypatch, 2)
+    set_(2)    # a count the pin must change and then restore
+    try:
+        integrate_paths(cfg, ops, 0.0 * batch, range(8))     # zero rows never blow up
+        assert get() == 2
+        with pytest.raises(BlowUpError):
+            integrate_paths(cfg, ops, batch, range(8))
+        assert get() == 2
+    finally:
+        set_(before)
+    assert {count for count, _ in seen} == {1} and len({t for _, t in seen}) == 2
+
+
+def test_without_the_blas_symbols_the_engine_runs_serial(monkeypatch):
+    cfg = _cfg(domain_kind="dirichlet2d", modes_per_axis=16, galerkin_level=6,
+               nonlinearity_enabled=True, t_final=0.01, snapshot_stride=2,
+               b_profiles=("0.1",), g_variant="bounded_nemytskii", g_params=(0.3,))
+    ops = build_operators(cfg)
+    rows = 2 * dynamics._THREAD_WORK // math.prod(ops.basis.grid_shape) + 2
+    assert dynamics.engine_threads(rows, ops.basis.grid_shape) >= min(2, dynamics._cores())
+    batch = np.repeat(default_initial(ops.basis, cfg.galerkin_level).coeffs[None], rows, 0)
+    threaded = integrate_paths(cfg, ops, batch, range(rows))
+    monkeypatch.setattr(dynamics, "_openblas_threads", lambda: None)
+    assert dynamics.engine_threads(rows, ops.basis.grid_shape) == 1
+    seen = _counting_stepper(monkeypatch, lambda: None)
+    serial = integrate_paths(cfg, ops, batch, range(rows))
+    assert {t for _, t in seen} == {threading.get_ident()}
+    assert np.array_equal(serial[2], threaded[2])
+    for name, table in threaded[1].items():
+        assert np.array_equal(serial[1][name], table), name

@@ -6,10 +6,11 @@ import pytest
 from snls import spectral
 from snls.config import compute_constants
 from snls.dynamics import SdeConfig, _nonlinear_coeffs, build_operators, state_functionals
-from snls.operators import f_pointwise, sharp_projector
+from snls.operators import f_pointwise, sharp_projector, smoothed_projector
 from snls.spectral import (
     BASIS_KINDS,
     BasisError,
+    ConfigurationError,
     SpectralField,
     apply_frac_power,
     h_norm_sq,
@@ -353,3 +354,14 @@ def test_quartic_energy_quadrature_is_exact_on_the_band_grid(kind, modes, level)
 def test_band_level_is_validated():
     with pytest.raises(BasisError, match="level"):
         make_basis("torus1d", 8, 2, -1)
+    # every layer that takes a level states the rule in the same words
+    basis = make_basis("torus1d", 8)
+    raisers = (lambda: make_basis("torus1d", 8, 2, -1), lambda: sharp_projector(-1, basis),
+               lambda: smoothed_projector(-1, basis),
+               lambda: SdeConfig(galerkin_level=-1))
+    messages = set()
+    for raiser in raisers:
+        with pytest.raises(ConfigurationError, match="level must be non-negative") as exc:
+            raiser()
+        messages.add(str(exc.value))
+    assert len(messages) == 1
