@@ -18,7 +18,6 @@ from .operators import (
     StateNoiseG,
     antiderivative_F,
     apply_F,
-    apply_G,
     make_noise_B,
     make_noise_G,
     sharp_projector,
@@ -52,15 +51,11 @@ from .observables import (
     supermartingale_trace,
 )
 from .ergodicity import (
-    PHI_REGISTRY,
     DecayRateFit,
     FingerprintReport,
-    TightnessProfile,
-    TimeAverageReport,
     decay_rate_fit,
     invariant_fingerprint,
     radius_indicator,
-    tightness_profile,
     time_average,
 )
 from .config import (

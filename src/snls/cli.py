@@ -30,7 +30,7 @@ from .dynamics import (
     simulate_ensemble,
 )
 from .observables import supermartingale_trace
-from .ergodicity import invariant_fingerprint, radius_indicator
+from .ergodicity import invariant_fingerprint, min_mass_1, radius_indicator, tanh_v_norm_sq
 from .config import (
     RunManifest,
     compute_constants,
@@ -104,8 +104,8 @@ def _run_ensemble(cfg, out: Path, checksum: str) -> int:
 def _run_invariant(cfg, out: Path, checksum: str) -> int:
     basis = make_basis(cfg.domain_kind, cfg.modes_per_axis, cfg.oversample, cfg.galerkin_level)
     family = default_initial_family(basis, cfg.galerkin_level, count=_FAMILY_SIZE)
-    phis = ["min_mass_1", "tanh_v_norm_sq"] + [radius_indicator(r) for r in cfg.radii]
-    rep = invariant_fingerprint(cfg, family, phi_names=phis)
+    phis = [min_mass_1, tanh_v_norm_sq] + [radius_indicator(r) for r in cfg.radii]
+    rep = invariant_fingerprint(cfg, family, phis=phis)
     window = f"{rep.window[0]:.17g}:{rep.window[1]:.17g}"
     rows = []
     for i, phi in enumerate(rep.phis):

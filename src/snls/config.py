@@ -61,7 +61,7 @@ _SCALAR_KEYS = {
     "noise.G.variant": ("g_variant", str.strip, f"one of {G_VARIANTS}"),
     "noise.G.params": ("g_params", _parse_floats, "comma-separated reals"),
     "run.burn_in_fraction": ("burn_in_fraction", float, "a real in [0, 1)"),
-    "run.radii": ("radii", _parse_floats, "ascending comma-separated reals"),
+    "run.radii": ("radii", _parse_floats, "ascending non-negative comma-separated reals"),
     "run.lambda": ("smg_lambda", float, "a real"),
 }
 

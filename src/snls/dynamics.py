@@ -35,7 +35,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .spectral import (BASIS_KINDS, ConfigurationError, EigenBasis, SpectralField,
-                       check_level, make_basis, v_norm_sq)
+                       check_box, check_level, make_basis, v_norm_sq)
 from .operators import (
     G_VARIANTS,
     LinearNoiseB,
@@ -142,14 +142,12 @@ class SdeConfig:
             raise ConfigurationError("seed must be a non-negative integer")
         if not (0.0 <= self.burn_in_fraction < 1.0):
             raise ConfigurationError("run.burn_in_fraction must lie in [0, 1)")
+        if any(r < 0.0 for r in self.radii):
+            raise ConfigurationError(f"key 'run.radii': radii must be non-negative, "
+                                     f"got {self.radii}")
         if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
             raise ConfigurationError("key 'run.radii': radii must be strictly ascending")
-        if self.modes_per_axis < 2 or (self.domain_kind.startswith("torus")
-                                       and self.modes_per_axis % 2):
-            raise ConfigurationError("key 'domain.modes_per_axis': must be at least 2, "
-                                     f"and even on tori, got {self.modes_per_axis}")
-        if self.oversample < 2:
-            raise ConfigurationError("key 'domain.oversample': must be an integer >= 2")
+        check_box(self.domain_kind, self.modes_per_axis, self.oversample)
         return self
 
     @property

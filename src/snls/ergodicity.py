@@ -1,4 +1,4 @@
-"""Time averages, tightness profiles, invariant-measure fingerprints, decay fits.
+"""Time averages, invariant-measure fingerprints, decay fits.
 
 The long-run program: time-averaged laws of bounded functionals approximate an
 invariant measure; occupation fractions of V-norm balls witness tightness; in
@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -22,14 +22,14 @@ from .dynamics import (
     ConfigurationError,
     EnsembleReport,
     SdeConfig,
-    TrajectoryRecord,
     _prepare_initial,
     build_operators,
 )
 
-# Bounded functionals of the snapshot observables.  Each maps an observable
-# table (name -> array) elementwise to an array of the same shape with range
-# [0, 1], so it evaluates a batch table (name -> (rows, snapshots)) at once.
+# Bounded functionals of the snapshot observables, labelled by __name__.  Each
+# maps an observable table (name -> array) elementwise to an array of the same
+# shape with range [0, 1], so it evaluates a batch table (name -> (rows,
+# snapshots)) at once.
 
 def min_mass_1(tab: Dict[str, np.ndarray]) -> np.ndarray:
     return np.minimum(tab["mass"], 1.0)
@@ -39,14 +39,8 @@ def tanh_v_norm_sq(tab: Dict[str, np.ndarray]) -> np.ndarray:
     return np.tanh(tab["v_norm_sq"])
 
 
-PHI_REGISTRY: Dict[str, Callable[[Dict[str, np.ndarray]], np.ndarray]] = {
-    "min_mass_1": min_mass_1,
-    "tanh_v_norm_sq": tanh_v_norm_sq,
-}
-
-
 def radius_indicator(radius: float):
-    """Indicator of ||u||_V > R as a registered-style functional."""
+    """Indicator of ||u||_V > R, labelled v_gt_<R>; its time average is an occupation fraction."""
     rsq = float(radius) ** 2
 
     def phi(tab: Dict[str, np.ndarray]) -> np.ndarray:
@@ -56,37 +50,9 @@ def radius_indicator(radius: float):
     return phi
 
 
-def resolve_phi(phi):
-    """A functional from a registered name or a v_gt_<R> name; a callable passes through."""
-    if callable(phi):
-        return phi
-    if phi in PHI_REGISTRY:
-        return PHI_REGISTRY[phi]
-    if phi.startswith("v_gt_"):
-        return radius_indicator(float(phi[len("v_gt_"):]))
-    raise ConfigurationError(f"unknown functional {phi!r}; "
-                             f"registered: {sorted(PHI_REGISTRY)} and v_gt_<R>")
-
-
-@dataclass
-class TimeAverageReport:
-    name: str
-    burn_in: float
-    window: Tuple[float, float]
-    value: float
-    quarters: Tuple[float, float, float, float]
-    initial_tag: str = ""
-
-
-@dataclass
-class TightnessProfile:
-    radii: np.ndarray
-    fractions: np.ndarray
-
-
-def trapezoid(y: np.ndarray, x: np.ndarray) -> float:
-    """Trapezoid integral of y over the grid x (SciPy's trapezoid arithmetic)."""
-    return float(np.sum(np.diff(x) * (y[1:] + y[:-1]) / 2.0))
+def trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Trapezoid integral of y over the grid x along y's last axis (SciPy's arithmetic)."""
+    return np.sum(np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
 
 
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
@@ -101,45 +67,21 @@ def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
                                - np.searchsorted(b, both, side="right") / len(b))))
 
 
-def _window_average(times: np.ndarray, values: np.ndarray, t0: float, t1: float) -> float:
+def time_average(times: np.ndarray, values: np.ndarray, t0: float, t1: float) -> np.ndarray:
+    """Trapezoid average over the snapshots with t0 <= t <= t1, along values' last axis.
+
+    values has shape (..., len(times)); the result has its leading shape.  A
+    window without snapshots raises; a window of one snapshot time gives the
+    values at it.
+    """
     lo = int(np.searchsorted(times, t0, side="left"))
     hi = int(np.searchsorted(times, t1, side="right"))
-    sel_t, sel_v = times[lo:hi], values[lo:hi]
+    sel_t, sel_v = times[lo:hi], values[..., lo:hi]
     if len(sel_t) == 0:
         raise ConfigurationError("averaging window contains no snapshots")
     if len(sel_t) == 1 or sel_t[-1] == sel_t[0]:
-        return float(sel_v[0])
+        return sel_v[..., 0]
     return trapezoid(sel_v, sel_t) / (sel_t[-1] - sel_t[0])
-
-
-def time_average(record: TrajectoryRecord, phi, burn_in: float,
-                 initial_tag: str = "") -> TimeAverageReport:
-    """Trapezoid average of phi over [burn_in, T], with quarter sub-averages."""
-    phi = resolve_phi(phi)
-    t = record.times
-    T = float(t[-1])
-    if burn_in >= T and T > 0.0:
-        raise ConfigurationError("burn_in must be smaller than the final time")
-    vals = phi(record.table)
-    value = _window_average(t, vals, burn_in, T)
-    span = T - burn_in
-    quarters = tuple(
-        _window_average(t, vals, burn_in + q * span / 4.0,
-                        burn_in + (q + 1) * span / 4.0)
-        for q in range(4)) if span > 0.0 else (value,) * 4
-    return TimeAverageReport(name=getattr(phi, "__name__", "phi"), burn_in=burn_in,
-                             window=(burn_in, T), value=value, quarters=quarters,
-                             initial_tag=initial_tag)
-
-
-def tightness_profile(record: TrajectoryRecord, radii: Sequence[float]) -> TightnessProfile:
-    """Occupation fractions f(R) = fraction of time with ||u||_V > R."""
-    radii = np.asarray(radii, dtype=float)
-    if len(radii) and np.any(np.diff(radii) <= 0.0):
-        raise ConfigurationError("radii must be strictly ascending")
-    t = record.times
-    fracs = [_window_average(t, radius_indicator(r)(record.table), t[0], t[-1]) for r in radii]
-    return TightnessProfile(radii=radii, fractions=np.array(fracs))
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +98,13 @@ class FingerprintReport:
 
 
 def invariant_fingerprint(cfg: SdeConfig, initial_data: Sequence[Tuple[str, SpectralField]],
-                          phi_names: Sequence = ("min_mass_1", "tanh_v_norm_sq"),
-                          ) -> FingerprintReport:
+                          phis: Sequence = (min_mass_1, tanh_v_norm_sq)) -> FingerprintReport:
     """Time-averaged functionals per initial datum, with pairwise and KS discrepancies.
 
     All initial data run as one batch on noise stream 0, the stream `simulate`
-    uses, so they differ only in where they start.  Each functional, given by
-    name or as a callable labelled by its __name__, is evaluated once on the
-    batch table.  The Kolmogorov-Smirnov distance compares the empirical
+    uses, so they differ only in where they start.  Each functional is
+    evaluated once on the batch table and averaged over [burn-in, T] in one
+    time_average call.  The Kolmogorov-Smirnov distance compares the empirical
     distributions of the post-burn-in snapshot samples of each scalar
     functional across initial data.
     """
@@ -177,15 +118,14 @@ def invariant_fingerprint(cfg: SdeConfig, initial_data: Sequence[Tuple[str, Spec
     burn_in = cfg.burn_in_fraction * cfg.t_final
     keep = times >= burn_in
 
-    phis = [resolve_phi(p) for p in phi_names]
     values = np.empty((len(phis), n))
     ks = np.zeros(len(phis))
     for i, phi in enumerate(phis):
         rows = phi(tables)
-        values[i] = [_window_average(times, row, burn_in, times[-1]) for row in rows]
+        values[i] = time_average(times, rows, burn_in, times[-1])
         ks[i] = max(ks_statistic(rows[a, keep], rows[b, keep])
                     for a, b in itertools.combinations(range(n), 2))
-    return FingerprintReport(phis=tuple(getattr(p, "__name__", "phi") for p in phis),
+    return FingerprintReport(phis=tuple(p.__name__ for p in phis),
                              tags=tuple(tag for tag, _ in initial_data), values=values,
                              pairwise_max=np.ptp(values, axis=1), ks_max=ks,
                              window=(burn_in, cfg.t_final))

@@ -27,7 +27,7 @@ import ast
 import logging
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -355,23 +355,6 @@ def g_fields_batch(coeffs: np.ndarray, G: StateNoiseG, basis: EigenBasis) -> np.
     for m in range(G.n_modes):
         out[m] = basis.analyze(sig * G.g_grids[m])
     return out
-
-
-def apply_G(u: SpectralField, G: StateNoiseG) -> Tuple[List[SpectralField], float]:
-    """Fields G(u)e_m and the squared Hilbert-Schmidt intensity sum_m ||G(u)e_m||^2_H.
-
-    The growth audit ||G(u)||_{gamma} <= C1 + C1t ||u||_H is checked on every
-    call; a violation means the stored constants are wrong, not the state.
-    """
-    stack = g_fields_batch(u.coeffs[None, :], G, u.basis)
-    fields = [SpectralField(stack[m, 0], u.basis) for m in range(stack.shape[0])]
-    hs = float(sum(np.sum(np.abs(f.coeffs) ** 2) for f in fields))
-    bound = G.C1 + G.C1t * float(np.sqrt(np.sum(np.abs(u.coeffs) ** 2)))
-    if np.sqrt(hs) > bound * (1.0 + 1e-10) + 1e-12:
-        raise OperatorError(
-            f"G growth audit failed: ||G(u)|| = {np.sqrt(hs):.6e} exceeds "
-            f"C1 + C1t*||u|| = {bound:.6e}")
-    return fields, hs
 
 
 def hs_norm_sq_batch(coeffs: np.ndarray, G: StateNoiseG, basis: EigenBasis,

@@ -54,6 +54,17 @@ def check_level(level: int) -> None:
         raise BasisError(f"galerkin.level must be non-negative, got {level}")
 
 
+def check_box(kind: str, modes_per_axis: int, oversample: int) -> None:
+    """The stored-box rules, for every layer that takes a box: at least 2 modes
+    per axis, an even count on tori (k = -M/2 .. M/2-1), and oversample >= 2
+    (the Lp quadrature contract)."""
+    if modes_per_axis < 2 or (kind.startswith("torus") and modes_per_axis % 2):
+        raise BasisError("key 'domain.modes_per_axis': must be at least 2, "
+                         f"and even on tori, got {modes_per_axis}")
+    if oversample < 2:
+        raise BasisError(f"key 'domain.oversample': must be an integer >= 2, got {oversample}")
+
+
 @dataclass(frozen=True)
 class AxisTransform:
     """One axis of a separable basis: stored modes, grid nodes and 1-D transform pair.
@@ -209,12 +220,7 @@ def make_basis(kind: str, modes_per_axis: int, oversample: int = 2,
     (the whole box when level is None)."""
     if kind not in BASIS_KINDS:
         raise BasisError(f"unknown basis kind {kind!r}; expected one of {BASIS_KINDS}")
-    if modes_per_axis < 2:
-        raise BasisError("modes_per_axis must be at least 2")
-    if oversample < 2:
-        raise BasisError("oversample must be at least 2 (Lp quadrature contract)")
-    if kind.startswith("torus") and modes_per_axis % 2 != 0:
-        raise BasisError("torus bases require an even modes_per_axis (k = -M/2 .. M/2-1)")
+    check_box(kind, modes_per_axis, oversample)
     if level is not None:
         check_level(level)
 

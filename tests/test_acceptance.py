@@ -19,7 +19,7 @@ from snls.dynamics import (
     simulate,
     simulate_ensemble,
 )
-from snls.ergodicity import decay_rate_fit, invariant_fingerprint
+from snls.ergodicity import decay_rate_fit, invariant_fingerprint, min_mass_1
 from snls.observables import contraction_diagnostic, supermartingale_trace
 from snls.operators import (
     antiderivative_F,
@@ -248,7 +248,7 @@ def test_criterion_6_origin_regime():
         cfg_fp = replace(cfg, dt=2e-3, t_final=50.0, snapshot_stride=250,
                          paths=1, burn_in_fraction=0.2)
         fam = default_initial_family(ops.basis, cfg.galerkin_level)
-        fp = invariant_fingerprint(cfg_fp, fam, phi_names=("min_mass_1",))
+        fp = invariant_fingerprint(cfg_fp, fam, phis=(min_mass_1,))
         assert fp.values.shape == (1, 3)
         assert np.max(np.abs(fp.values)) <= 0.02
 

@@ -232,13 +232,12 @@ def test_non_finite_and_off_rule_values_exit_2_without_a_traceback(tmp_path, cap
 def test_invariant_tests_each_configured_radius_exactly(tmp_path, monkeypatch):
     # a radius parsed back from a 6-digit label would test 0.1234567 against 0.123457^2
     import snls.cli
-    from snls.ergodicity import resolve_phi
     handed = []
     real = snls.cli.invariant_fingerprint
 
-    def spy(cfg, family, phi_names):
-        handed.extend(phi_names)
-        return real(cfg, family, phi_names=phi_names)
+    def spy(cfg, family, phis):
+        handed.extend(phis)
+        return real(cfg, family, phis=phis)
 
     monkeypatch.setattr(snls.cli, "invariant_fingerprint", spy)
     radii = (0.1234567, 2.0)
@@ -246,7 +245,6 @@ def test_invariant_tests_each_configured_radius_exactly(tmp_path, monkeypatch):
     assert main(["invariant", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     assert len(handed) == 2 + len(radii)
     for r, phi in zip(radii, handed[2:]):
-        phi = resolve_phi(phi) if isinstance(phi, str) else phi
         assert phi({"v_norm_sq": np.array([np.nextafter(r * r, np.inf)])})[0] == 1.0, r
         assert phi({"v_norm_sq": np.array([r * r])})[0] == 0.0, r
 

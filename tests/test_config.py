@@ -96,6 +96,7 @@ def test_full_config_parses_every_key():
     ("beta = nan", "key 'beta'"),
     ("noise.G.variant = linear_diagonal\nnoise.G.params = 0.3, nan", "key 'noise.G.params'"),
     ("run.radii = 1, inf", "key 'run.radii'"),
+    ("run.radii = -3, 2", "key 'run.radii': radii must be non-negative"),
     ("run.lambda = nan", "key 'run.lambda'"),
     ("domain.modes_per_axis = 1", "key 'domain.modes_per_axis'"),
     ("domain.modes_per_axis = 15", "key 'domain.modes_per_axis'"),

@@ -16,18 +16,16 @@ from snls.dynamics import (
     simulate_ensemble,
 )
 from snls.ergodicity import (
-    PHI_REGISTRY,
     decay_rate_fit,
     invariant_fingerprint,
     ks_statistic,
+    min_mass_1,
     radius_indicator,
-    resolve_phi,
-    tightness_profile,
+    tanh_v_norm_sq,
     time_average,
     trapezoid,
 )
 from snls.dynamics import cumulative_trapezoid
-from snls.dynamics import TrajectoryRecord
 from snls.spectral import make_basis
 
 
@@ -40,108 +38,116 @@ def _cfg(**kw) -> SdeConfig:
     return SdeConfig(**base)
 
 
-def _fake_record(times, mass, vsq):
-    table = {"mass": np.asarray(mass, dtype=float),
-             "v_norm_sq": np.asarray(vsq, dtype=float)}
-    return TrajectoryRecord(times=np.asarray(times, dtype=float), table=table,
-                            final_state=None, cfg=None)
+def _occupation(rec, radii):
+    """Fractions of [0, T] with ||u||_V > R, from the stack of indicator rows."""
+    stack = np.stack([radius_indicator(r)(rec.table) for r in radii])
+    return time_average(rec.times, stack, rec.times[0], rec.times[-1])
 
 
 # ---------------------------------------------------------------------------
-# functional registry
+# functionals
 
-def test_registered_functionals_are_bounded():
+def test_functionals_are_bounded_and_labelled():
     tab = {"mass": np.array([0.0, 0.5, 3.0]), "v_norm_sq": np.array([0.0, 1.0, 50.0])}
-    assert np.array_equal(PHI_REGISTRY["min_mass_1"](tab), [0.0, 0.5, 1.0])
-    out = PHI_REGISTRY["tanh_v_norm_sq"](tab)
+    assert np.array_equal(min_mass_1(tab), [0.0, 0.5, 1.0])
+    out = tanh_v_norm_sq(tab)
     assert np.all((out >= 0.0) & (out <= 1.0))    # tanh(50) rounds to 1.0
     assert out[1] < 1.0
     ind = radius_indicator(2.0)(tab)
     assert ind.tolist() == [0.0, 0.0, 1.0]      # threshold is on the square
-
-
-def test_resolve_phi_names_and_errors():
-    assert resolve_phi("min_mass_1") is PHI_REGISTRY["min_mass_1"]
-    phi = resolve_phi("v_gt_2.5")
+    phi = radius_indicator(2.5)
     assert phi.__name__ == "v_gt_2.5"
-    tab = {"v_norm_sq": np.array([6.0, 6.5])}
-    assert phi(tab).tolist() == [0.0, 1.0]      # 2.5^2 = 6.25
-    with pytest.raises(ConfigurationError, match="min_mass_1"):
-        resolve_phi("does_not_exist")
+    assert phi({"v_norm_sq": np.array([6.0, 6.5])}).tolist() == [0.0, 1.0]   # 2.5^2 = 6.25
 
 
 # ---------------------------------------------------------------------------
 # time averages
 
 def test_time_average_of_a_constant_is_the_constant():
-    rec = _fake_record(np.linspace(0, 2, 21), np.full(21, 0.37), np.full(21, 4.0))
-    rep = time_average(rec, "min_mass_1", burn_in=0.5, initial_tag="x")
-    assert rep.value == pytest.approx(0.37, abs=1e-15)
-    assert rep.quarters == pytest.approx((0.37,) * 4, abs=1e-15)
-    assert rep.window == (0.5, 2.0)
-    assert rep.initial_tag == "x" and rep.name == "min_mass_1"
+    times = np.linspace(0, 2, 21)
+    assert time_average(times, np.full(21, 0.37), 0.5, 2.0) == pytest.approx(0.37, abs=1e-15)
+    for q in range(4):
+        assert time_average(times, np.full(21, 0.37), 0.5 + 0.375 * q,
+                            0.5 + 0.375 * (q + 1)) == pytest.approx(0.37, abs=1e-15)
 
 
-def test_time_average_stays_in_the_convex_hull_and_validates_burn_in():
+def test_time_average_stays_in_the_convex_hull_and_rejects_an_empty_window():
     times = np.linspace(0, 1, 11)
     mass = np.linspace(0.2, 0.9, 11)
-    rec = _fake_record(times, mass, mass)
-    rep = time_average(rec, "min_mass_1", burn_in=0.0)
-    assert mass.min() <= rep.value <= mass.max()
-    for q in rep.quarters:
-        assert mass.min() <= q <= mass.max()
-    with pytest.raises(ConfigurationError, match="burn_in"):
-        time_average(rec, "min_mass_1", burn_in=1.0)
+    vals = min_mass_1({"mass": mass})
+    for t0, t1 in [(0.0, 1.0), (0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0)]:
+        assert mass.min() <= time_average(times, vals, t0, t1) <= mass.max()
+    with pytest.raises(ConfigurationError, match="no snapshots"):
+        time_average(times, vals, 1.05, 2.0)
+    with pytest.raises(ConfigurationError, match="no snapshots"):
+        time_average(times, vals, 0.61, 0.69)
+
+
+def test_time_average_of_one_snapshot_is_its_value():
+    times = np.linspace(0, 1, 11)
+    table = np.arange(22.0).reshape(2, 11)
+    assert np.array_equal(time_average(times, table, 0.55, 0.65), table[:, 6])
+    assert np.array_equal(time_average(times, table, 1.0, 1.0), table[:, -1])
+
+
+def test_time_average_is_batched_over_the_leading_axes():
+    rng = np.random.default_rng(12)
+    times = np.cumsum(rng.uniform(0.01, 0.2, 40))
+    table = rng.standard_normal((3, 4, 40))
+    for t0, t1 in [(times[0], times[-1]), (times[5], times[30]), (0.3, 1.7)]:
+        got = time_average(times, table, t0, t1)
+        assert got.shape == (3, 4)
+        for idx in np.ndindex(3, 4):
+            assert got[idx] == time_average(times, table[idx], t0, t1)
 
 
 def test_time_average_saturates_at_one_when_mass_stays_large():
-    rec = _fake_record(np.linspace(0, 1, 9), np.full(9, 2.5), np.full(9, 1.0))
-    assert time_average(rec, "min_mass_1", burn_in=0.25).value == 1.0
+    times = np.linspace(0, 1, 9)
+    assert time_average(times, min_mass_1({"mass": np.full(9, 2.5)}), 0.25, 1.0) == 1.0
 
 
 def test_quarter_averages_decay_in_the_dissipative_regime():
-    # beta > C1t^2 / 2 drives every path to zero; quarters shrink monotonically
+    # beta > C1t^2 / 2 drives every path to zero: the last quarter of
+    # [burn_in, T] averages below the first
     cfg = _cfg(beta=1.5, t_final=2.0, g_variant="linear_diagonal", g_params=(0.4,))
     u0 = default_initial(build_operators(cfg).basis, cfg.galerkin_level, mass=1.5)
+    burn_in, T = 0.4, cfg.t_final
+    span = T - burn_in
     hits = 0
     for seed in range(20):
         rec = simulate(_cfg(beta=1.5, t_final=2.0, seed=seed,
                             g_variant="linear_diagonal", g_params=(0.4,)), u0)
-        q = time_average(rec, "min_mass_1", burn_in=0.4).quarters
-        hits += q[3] < q[0]
+        vals = min_mass_1(rec.table)
+        first = time_average(rec.times, vals, burn_in, burn_in + span / 4.0)
+        last = time_average(rec.times, vals, burn_in + 3.0 * span / 4.0, T)
+        hits += last < first
     assert hits >= 19
 
 
 # ---------------------------------------------------------------------------
-# tightness profile
+# occupation fractions of V-norm balls (tightness)
 
-def test_tightness_profile_is_monotone_with_exact_endpoints():
+def test_occupation_fractions_are_monotone_with_exact_endpoints():
     cfg = _cfg(beta=0.7, t_final=1.0, g_variant="linear_diagonal", g_params=(0.3,))
     rec = simulate(cfg, default_initial(build_operators(cfg).basis, cfg.galerkin_level))
-    prof = tightness_profile(rec, [1e-6, 1.0, 2.0, 4.0, 1e6])
-    assert np.all(np.diff(prof.fractions) <= 0.0)
-    assert prof.fractions[0] == 1.0
-    assert prof.fractions[-1] == 0.0
-    assert np.all((prof.fractions >= 0.0) & (prof.fractions <= 1.0))
+    fractions = _occupation(rec, [1e-6, 1.0, 2.0, 4.0, 1e6])
+    assert np.all(np.diff(fractions) <= 0.0)
+    assert fractions[0] == 1.0
+    assert fractions[-1] == 0.0
+    assert np.all((fractions >= 0.0) & (fractions <= 1.0))
 
 
-def test_tightness_fractions_obey_chebyshev_against_the_same_average():
+def test_occupation_fractions_obey_chebyshev_against_the_same_average():
     cfg = _cfg(beta=0.5, t_final=1.0, nonlinearity_enabled=True,
                b_profiles=("0.3",), g_variant="linear_diagonal", g_params=(0.3,))
     rec = simulate(cfg, default_initial(build_operators(cfg).basis, cfg.galerkin_level))
     radii = [0.5, 1.0, 2.0]
-    prof = tightness_profile(rec, radii)
+    fractions = _occupation(rec, radii)
     from scipy.integrate import trapezoid
     t, vsq = rec.times, rec.table["v_norm_sq"]
     avg_vsq = trapezoid(vsq, t) / (t[-1] - t[0])
-    for r, frac in zip(radii, prof.fractions):
+    for r, frac in zip(radii, fractions):
         assert frac <= avg_vsq / r ** 2 + 1e-12
-
-
-def test_tightness_rejects_unsorted_radii():
-    rec = _fake_record([0.0, 1.0], [1.0, 1.0], [1.0, 1.0])
-    with pytest.raises(ConfigurationError, match="ascending"):
-        tightness_profile(rec, [2.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +170,7 @@ def test_fingerprint_needs_two_initial_data_and_honours_t_final():
     with pytest.raises(ConfigurationError, match="at least 2"):
         invariant_fingerprint(cfg, [("only", u0)])
     rep = invariant_fingerprint(replace(cfg, t_final=0.25), [("a", u0), ("b", u0)],
-                                phi_names=("min_mass_1", "v_gt_2"))
+                                phis=(min_mass_1, radius_indicator(2)))
     assert rep.window[1] == 0.25
     assert rep.phis == ("min_mass_1", "v_gt_2")
     assert np.all((rep.values >= 0.0) & (rep.values <= 1.0))
@@ -179,7 +185,7 @@ def test_fingerprint_evaluates_each_functional_once():
 
     cfg = _cfg(t_final=0.25)
     fam = default_initial_family(build_operators(cfg).basis, cfg.galerkin_level, count=3)
-    rep = invariant_fingerprint(cfg, fam, phi_names=(counted, "min_mass_1"))
+    rep = invariant_fingerprint(cfg, fam, phis=(counted, min_mass_1))
     assert calls == [(3, 26)]                  # one call on the whole batch table
     assert rep.phis == ("counted", "min_mass_1")
     assert np.array_equal(rep.values[0], rep.values[1])
@@ -197,13 +203,14 @@ def test_fingerprint_batch_matches_per_datum_simulate(b_profiles):
                g_variant="linear_diagonal", g_params=(0.3,))
     basis = make_basis(cfg.domain_kind, cfg.modes_per_axis, cfg.oversample)
     fam = default_initial_family(basis, cfg.galerkin_level, count=3)
-    rep = invariant_fingerprint(cfg, fam, phi_names=("min_mass_1", "tanh_v_norm_sq"))
+    phis = (min_mass_1, tanh_v_norm_sq)
+    rep = invariant_fingerprint(cfg, fam, phis=phis)
     burn_in = cfg.burn_in_fraction * cfg.t_final
     for j, (tag, field) in enumerate(fam):
         rec = simulate(cfg, field)
-        for i, name in enumerate(rep.phis):
-            single = time_average(rec, name, burn_in).value
-            assert abs(rep.values[i, j] - single) <= 1e-12, (tag, name)
+        for i, phi in enumerate(phis):
+            single = time_average(rec.times, phi(rec.table), burn_in, rec.times[-1])
+            assert abs(rep.values[i, j] - single) <= 1e-12, (tag, phi.__name__)
 
 
 def test_fingerprint_collapses_when_every_path_dies():
@@ -292,6 +299,7 @@ def test_numpy_quadrature_and_ks_match_scipy_exactly():
         t = np.cumsum(rng.uniform(0.01, 1.0, n))
         y = rng.standard_normal((3, n))
         assert trapezoid(y[0], t) == sp_trapz(y[0], t)
+        assert np.array_equal(trapezoid(y, t), sp_trapz(y, t, axis=-1))
         assert np.array_equal(cumulative_trapezoid(y, t),
                               sp_cumtrapz(y, t, axis=-1, initial=0.0))
         assert np.array_equal(cumulative_trapezoid(y.T, t, axis=0),

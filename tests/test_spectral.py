@@ -365,3 +365,19 @@ def test_band_level_is_validated():
             raiser()
         messages.add(str(exc.value))
     assert len(messages) == 1
+
+
+@pytest.mark.parametrize("kind, modes, oversample, key", [
+    ("torus1d", 7, 2, "domain.modes_per_axis"),
+    ("dirichlet2d", 1, 2, "domain.modes_per_axis"),
+    ("neumann1d", 8, 1, "domain.oversample"),
+])
+def test_box_rule_is_stated_once_for_the_basis_and_the_config(kind, modes, oversample, key):
+    raisers = (lambda: make_basis(kind, modes, oversample),
+               lambda: SdeConfig(domain_kind=kind, modes_per_axis=modes, oversample=oversample))
+    messages = set()
+    for raiser in raisers:
+        with pytest.raises(BasisError, match=f"key '{key}'") as exc:
+            raiser()
+        messages.add(str(exc.value))
+    assert len(messages) == 1
