@@ -234,7 +234,7 @@ class BrownianDriver:
 def _g_increment(u: np.ndarray, dWt: np.ndarray, ops: GalerkinOps) -> Optional[np.ndarray]:
     """-i S_n G(S_n u) dW~ for a batch; None when G is off."""
     G = ops.G
-    if not G.enabled:
+    if G.variant == "none":
         return None
     if G.variant == "linear_diagonal":
         scal = dWt @ G.gammas
@@ -259,17 +259,22 @@ def _nonlinear_coeffs(u: np.ndarray, ops: GalerkinOps, alpha: float) -> np.ndarr
     return ops.maskf * ops.basis.analyze(f_pointwise(grid, alpha))
 
 
+# The steppers update the arrays they have just made in place.  Complex
+# products keep their operand order, since numpy's complex multiply rounds
+# a * b and b * a differently.  That includes the order numpy picks itself:
+# it evaluates `x * temporary` as `temporary *= x` from 256 KiB up.
+
 def _step_em_batch(u: np.ndarray, dW: np.ndarray, dWt: np.ndarray,
                    cfg: SdeConfig, ops: GalerkinOps) -> np.ndarray:
     dt = cfg.dt
     incr = (ops.corr - cfg.beta) * u * dt
     if cfg.nonlinearity_enabled:
-        incr = incr - 1j * dt * _nonlinear_coeffs(u, ops, cfg.alpha)
-    if ops.B.n_modes:
-        incr = incr - 1j * (dW @ ops.b_eff) * u
+        incr -= 1j * dt * _nonlinear_coeffs(u, ops, cfg.alpha)
+    if len(ops.b_eff):
+        incr -= 1j * (dW @ ops.b_eff) * u
     g_inc = _g_increment(u, dWt, ops)
     if g_inc is not None:
-        incr = incr + g_inc
+        incr += g_inc
     return ops.rot * (u + incr)
 
 
@@ -288,12 +293,12 @@ def _step_split_batch(u: np.ndarray, dW: np.ndarray, dWt: np.ndarray,
         grid *= np.exp(-1j * phase)
         u = ops.maskf * ops.basis.analyze(grid)
     if cfg.beta != 0.0:
-        u = u * ops.damp
-    if ops.B.n_modes:
+        u *= ops.damp
+    if len(ops.b_eff):
         u *= np.exp(-1j * (dW @ ops.b_eff))
     g_inc = _g_increment(u, dWt, ops)
     if g_inc is not None:
-        u = u + g_inc
+        u += g_inc
     return u
 
 
@@ -530,57 +535,81 @@ def _run_slices(run, slices: Sequence[slice]) -> None:
         raise BlowUpError(e.step, e.t, e.v_norm, row) from None
 
 
+def _check_rows(u: np.ndarray, step: int, cfg: SdeConfig, ops: GalerkinOps) -> None:
+    """The blow-up rule at one step: the first non-finite row, else the row of
+    largest V-norm when that norm exceeds BLOWUP_V_NORM."""
+    vsq = v_norm_sq(u, ops.basis)
+    bad = ~np.isfinite(vsq)
+    if bad.any():
+        raise BlowUpError(step, step * cfg.dt, float("inf"), int(np.argmax(bad)))
+    worst = int(np.argmax(vsq))
+    if vsq[worst] > BLOWUP_V_NORM ** 2:
+        raise BlowUpError(step, step * cfg.dt, float(np.sqrt(vsq[worst])), worst)
+
+
 def _integrate_rows(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
                     streams: Sequence[int], snap_steps: np.ndarray,
                     tables: Dict[str, np.ndarray], states: Optional[np.ndarray]) -> np.ndarray:
     """The serial engine: advance the rows, writing into the views tables and
-    states; returns the final batch.  A BlowUpError names a row of this batch."""
+    states; returns the final batch.  A BlowUpError names a row of this batch.
+
+    The blow-up rule is checked once per RNG block, on the block's last state,
+    with floating-point errors ignored inside the block.  When it trips, the
+    block is replayed from its start state under the caller's error state,
+    checking every step; non-finite values stay non-finite, so the replay
+    raises the error (or warning) of the first step that breaks the rule.  A
+    row that exceeds BLOWUP_V_NORM and falls back below it within one block
+    passes, and so do floating-point errors in a block that passes.
+    """
     # driver slot per distinct key, in first-seen order; slots[r] is row r's driver
     index = {k: i for i, k in enumerate(dict.fromkeys(streams))}
     slots = np.array([index[k] for k in streams])
     n_steps = cfg.n_steps
     snapset = {int(s): i for i, s in enumerate(snap_steps)}
     stepper = _STEPPERS[cfg.scheme]
+    nb, ng = ops.B.n_modes, ops.G.n_modes
 
-    drivers = [BrownianDriver(cfg.seed, k, ops.B.n_modes, ops.G.n_modes, cfg.dt)
-               for k in index]
+    drivers = [BrownianDriver(cfg.seed, k, nb, ng, cfg.dt) for k in index]
 
-    u = u0_batch.copy()
-
-    def record(step: int):
-        i = snapset.get(step)
-        if i is None:
-            return
+    def record(u: np.ndarray, i: int):
         obs = _observe_batch(u, cfg, ops)
         for name in OBSERVABLE_NAMES:
             tables[name][:, i] = obs[name]
         if states is not None:
             states[i] = u
 
-    record(0)
+    def advance(u: np.ndarray, step: int, incs: np.ndarray, check: bool) -> np.ndarray:
+        """Run the steps of one block from u at `step`; check each one if asked."""
+        for inc in incs:
+            u = stepper(u, inc[:, :nb], inc[:, nb:], cfg, ops)
+            step += 1
+            if check:
+                _check_rows(u, step, cfg, ops)
+            i = snapset.get(step)
+            if i is not None:
+                record(u, i)
+        return u
+
+    u = u0_batch.copy()
+    record(u, 0)
     step = 0
-    nb, ng = ops.B.n_modes, ops.G.n_modes
     while step < n_steps:
         block = min(_RNG_BLOCK, n_steps - step)
-        # increments per stream for this block: (n_streams, block, nb+ng)
-        stream_inc = np.empty((len(drivers), block, nb + ng))
+        # increments per step and stream for this block: (block, n_streams, nb+ng)
+        incs = np.empty((block, len(drivers), nb + ng))
         for s, d in enumerate(drivers):
             dW, dWt = d.increments(block)
-            stream_inc[s, :, :nb] = dW
-            stream_inc[s, :, nb:] = dWt
-        for i in range(block):
-            inc_i = stream_inc[slots, i]
-            u = stepper(u, inc_i[:, :nb], inc_i[:, nb:], cfg, ops)
-            step += 1
+            incs[:, s, :nb] = dW
+            incs[:, s, nb:] = dWt
+        if len(drivers) < len(slots):      # keys shared between rows
+            incs = incs[:, slots]
+        start = u
+        with np.errstate(all="ignore"):
+            u = advance(start, step, incs, False)
             vsq = v_norm_sq(u, ops.basis)
-            bad = ~np.isfinite(vsq)
-            if bad.any():
-                worst = int(np.argmax(bad))
-                raise BlowUpError(step, step * cfg.dt, float("inf"), worst)
-            worst = int(np.argmax(vsq))
-            if vsq[worst] > BLOWUP_V_NORM ** 2:
-                raise BlowUpError(step, step * cfg.dt, float(np.sqrt(vsq[worst])), worst)
-            record(step)
+        if not np.all(vsq <= BLOWUP_V_NORM ** 2):
+            u = advance(start, step, incs, True)
+        step += block
     return u
 
 

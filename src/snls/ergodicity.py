@@ -41,6 +41,8 @@ def tanh_v_norm_sq(tab: Dict[str, np.ndarray]) -> np.ndarray:
 
 def radius_indicator(radius: float):
     """Indicator of ||u||_V > R, labelled v_gt_<R>; its time average is an occupation fraction."""
+    if not radius >= 0.0:
+        raise ConfigurationError(f"radius must be non-negative, got {radius}")
     rsq = float(radius) ** 2
 
     def phi(tab: Dict[str, np.ndarray]) -> np.ndarray:

@@ -74,7 +74,8 @@ class AxisTransform:
     transpose times the uniform quadrature weight, so that x @ analysis is
     the inner product <f, h_k>.  Each comes with its complex128 copy (the
     same array on a torus axis), so that the product on the last axis casts
-    nothing per call.  Both are applied by `_contract`.
+    nothing per call.  Both are applied by `_contract`, and directly on a
+    1-D basis.
     """
 
     ks: np.ndarray         # wavenumbers of the stored modes, in storage order
@@ -124,6 +125,8 @@ class EigenBasis:
             raise BasisError(
                 f"coefficient length {coeffs.shape[-1]} does not match basis with {self.n_modes} modes")
         x = np.asarray(coeffs, dtype=np.complex128)
+        if self.dim == 1:
+            return x @ self.axes[0].synth[1]
         x = x.reshape(x.shape[:-1] + (self.modes_per_axis,) * self.dim)
         for axis in range(-1, -self.dim - 1, -1):
             x = _contract(x, axis, *self.axes[axis].synth)
@@ -135,6 +138,8 @@ class EigenBasis:
             raise BasisError(
                 f"grid shape {values.shape[-self.dim:]} does not match basis grid {self.grid_shape}")
         x = np.asarray(values, dtype=np.complex128)
+        if self.dim == 1:
+            return x @ self.axes[0].analysis[1]
         for axis in range(-1, -self.dim - 1, -1):
             x = _contract(x, axis, *self.axes[axis].analysis)
         return x.reshape(x.shape[:-self.dim] + (self.n_modes,))

@@ -16,8 +16,8 @@ from .spectral import (BASIS_KINDS, SpectralField, apply_frac_power, h_norm_sq,
                        make_basis, norms)
 from .operators import (antiderivative_F, apply_F, hs_norm_sq_batch, make_noise_B,
                         make_noise_G, rho, smoothed_projector, stratonovich_correction)
-from .dynamics import (ConfigurationError, SdeConfig, build_operators,
-                       default_initial, simulate, simulate_ensemble)
+from .dynamics import (BLOWUP_V_NORM, BlowUpError, ConfigurationError, SdeConfig,
+                       build_operators, default_initial, simulate, simulate_ensemble)
 from .observables import (contraction_diagnostic, mass_budget_residual, observe,
                           supermartingale_trace)
 from .ergodicity import decay_rate_fit, min_mass_1, radius_indicator, time_average
@@ -231,6 +231,22 @@ def _chk_replay():
     return float(np.max(np.abs(a - b))), 0.0
 
 
+def _chk_blow_up_exact_step():
+    # linear antidamped Euler: the V-norm grows by 1 - beta dt = 1.3 per step,
+    # and this amplitude first exceeds BLOWUP_V_NORM at step 300, mid second
+    # RNG block, with half a step of margin on either side
+    cfg = _small_cfg(scheme="ito_exp_em", beta=-30.0, dt=1e-2, t_final=4.0,
+                     nonlinearity_enabled=False)
+    u0 = default_initial(build_operators(cfg).basis, cfg.galerkin_level)
+    trip = 300
+    amp = BLOWUP_V_NORM / (math.sqrt(norms(u0).v_norm_sq) * 1.3 ** (trip - 0.5))
+    try:
+        simulate(cfg, SpectralField(amp * u0.coeffs, u0.basis))
+    except BlowUpError as exc:
+        return float(abs(exc.step - trip)), 0.0
+    return math.inf, 0.0
+
+
 def _chk_ensemble_single_path():
     cfg = _small_cfg(b_profiles=("0.2",), paths=1)
     u0 = default_initial(build_operators(cfg).basis, cfg.galerkin_level)
@@ -400,6 +416,7 @@ CHECKS: List[Tuple[str, str, Callable]] = [
     ("split_mass_conservation", "mass conservation without damping and G", _chk_split_mass_conservation),
     ("damping_exactness", "exact exponential damping factor", _chk_damping_exactness),
     ("replay_bit_identity", "seeded reproducibility", _chk_replay),
+    ("blow_up_guard_exact_step", "a blow-up names the step of the per-step rule", _chk_blow_up_exact_step),
     ("ensemble_single_path_consistency", "ensemble of one equals the trajectory", _chk_ensemble_single_path),
     ("support_invariant", "states stay inside the Galerkin band", _chk_support_invariant),
     ("em_mean_mass_recursion", "Ito mean-mass recursion", _chk_em_mass_recursion),

@@ -1,5 +1,6 @@
 """Integrator tests: exact substep laws, discrete moment recursions, RNG layout."""
 
+import dataclasses
 import logging
 import math
 import threading
@@ -24,7 +25,7 @@ from snls.dynamics import (
     simulate_ensemble,
 )
 from snls.operators import G_VARIANTS
-from snls.spectral import BASIS_KINDS, SpectralField, make_basis
+from snls.spectral import BASIS_KINDS, SpectralField, make_basis, v_norm_sq
 
 
 def _rho_oracle(t: float) -> float:
@@ -662,3 +663,173 @@ def test_without_the_blas_symbols_the_engine_runs_serial(monkeypatch):
     assert np.array_equal(serial[2], threaded[2])
     for name, table in threaded[1].items():
         assert np.array_equal(serial[1][name], table), name
+
+
+# ---------------------------------------------------------------------------
+# the blow-up guard, checked once per RNG block
+
+def _per_step_reference(cfg, ops, u0_batch, streams):
+    """The engine as a plain loop: one gather of the increments and one check
+    of the blow-up rule after every step.  integrate_paths must reproduce its
+    tables, states, final batch and BlowUpError bit for bit."""
+    keys = list(dict.fromkeys(streams))
+    slots = np.array([keys.index(k) for k in streams])
+    nb = ops.B.n_modes
+    drivers = [BrownianDriver(cfg.seed, k, nb, ops.G.n_modes, cfg.dt) for k in keys]
+    snap_steps = dynamics._snapshot_steps(cfg)
+    snap = {int(s): i for i, s in enumerate(snap_steps)}
+    tables = {name: np.empty((len(streams), len(snap))) for name in dynamics.OBSERVABLE_NAMES}
+    states = np.empty((len(snap),) + u0_batch.shape, dtype=np.complex128)
+
+    def record(u, step):
+        if step in snap:
+            obs = dynamics._observe_batch(u, cfg, ops)
+            for name in tables:
+                tables[name][:, snap[step]] = obs[name]
+            states[snap[step]] = u
+
+    u = u0_batch.copy()
+    record(u, 0)
+    step = 0
+    while step < cfg.n_steps:
+        block = min(dynamics._RNG_BLOCK, cfg.n_steps - step)
+        inc = np.stack([np.concatenate(d.increments(block), axis=1) for d in drivers])
+        for i in range(block):
+            row_inc = inc[slots, i]
+            u = dynamics._STEPPERS[cfg.scheme](u, row_inc[:, :nb], row_inc[:, nb:], cfg, ops)
+            step += 1
+            vsq = v_norm_sq(u, ops.basis)
+            bad = ~np.isfinite(vsq)
+            if bad.any():
+                raise BlowUpError(step, step * cfg.dt, math.inf, int(np.argmax(bad)))
+            worst = int(np.argmax(vsq))
+            if vsq[worst] > dynamics.BLOWUP_V_NORM ** 2:
+                raise BlowUpError(step, step * cfg.dt, math.sqrt(vsq[worst]), worst)
+            record(u, step)
+    return snap_steps * cfg.dt, tables, u, states
+
+
+def _error(run):
+    with pytest.raises(BlowUpError) as exc:
+        run()
+    e = exc.value
+    return e.step, e.t, e.v_norm, e.path_index
+
+
+@pytest.mark.parametrize("kind", BASIS_KINDS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("g_variant", G_VARIANTS)
+@pytest.mark.parametrize("b_on", [False, True])
+def test_the_engine_matches_the_per_step_reference(kind, scheme, g_variant, b_on):
+    # 270 steps: a full RNG block, then part of one, and a last snapshot off the stride
+    cfg = _cfg(domain_kind=kind, modes_per_axis=8 if kind.endswith("2d") else 16,
+               scheme=scheme, beta=0.5, nonlinearity_enabled=True, t_final=0.27,
+               snapshot_stride=7, b_profiles=("0.1/(1+lambda)", "0.05") if b_on else (),
+               g_variant=g_variant, g_params=(0.3, 0.1) if g_variant != "none" else ())
+    ops = build_operators(cfg)
+    u0 = default_initial(ops.basis, cfg.galerkin_level, mass=3.0).coeffs
+    batch = u0 * (1.0 + 0.1 * np.arange(6))[:, None]
+    for streams in (list(range(6)), [0, 1, 2, 0, 1, 2]):
+        times, tables, u, states = integrate_paths(cfg, ops, batch, streams, collect_states=True)
+        ref = _per_step_reference(cfg, ops, batch, streams)
+        assert np.array_equal(times, ref[0])
+        assert np.array_equal(u, ref[2]) and np.array_equal(states, ref[3])
+        for name, table in tables.items():
+            assert np.array_equal(table, ref[1][name]), name
+
+
+def _linear_runaway(trip_step: int, t_final: float = 3.2):
+    """Antidamped linear ito_exp_em, V-norm x 1.3 per step, and the amplitude
+    whose V-norm first exceeds BLOWUP_V_NORM at trip_step (half a step of margin)."""
+    cfg = _cfg(scheme="ito_exp_em", beta=-30.0, dt=1e-2, t_final=t_final, snapshot_stride=10)
+    ops = build_operators(cfg)
+    u0 = default_initial(ops.basis, cfg.galerkin_level).coeffs
+    v0 = math.sqrt(float(v_norm_sq(u0, ops.basis)))
+    return cfg, ops, u0 * dynamics.BLOWUP_V_NORM / (v0 * 1.3 ** (trip_step - 0.5))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("trip_step", [1, 100, 256, 257, 300])
+def test_the_block_replay_names_the_step_of_the_per_step_rule(trip_step, threads, monkeypatch):
+    # 1 and 257 open a block, 256 closes one, 100 and 300 fall inside one
+    cfg, ops, amp = _linear_runaway(trip_step)
+    batch = np.array([0.0 * amp, 0.5 * amp, amp, 0.0 * amp])
+    ref = _error(lambda: _per_step_reference(cfg, ops, batch, range(4)))
+    assert ref[0] == trip_step and ref[3] == 2
+    _threads(monkeypatch, threads)
+    assert _error(lambda: integrate_paths(cfg, ops, batch, range(4))) == ref
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_row_going_non_finite_mid_block_is_named(threads, monkeypatch):
+    # the stepper poisons a row once its mass passes 1e4, far below the V-norm
+    # threshold: row 1 turns to NaN at step 18 while rows 0, 2 and 3 stay finite
+    for scheme, step in list(dynamics._STEPPERS.items()):
+        def poisoned(u, dW, dWt, cfg, ops, step=step):
+            out = step(u, dW, dWt, cfg, ops)
+            out[np.sum(np.abs(out) ** 2, axis=-1) > 1e4] = np.nan
+            return out
+        monkeypatch.setitem(dynamics._STEPPERS, scheme, poisoned)
+    cfg, ops, _ = _linear_runaway(1)
+    u0 = default_initial(ops.basis, cfg.galerkin_level).coeffs
+    batch = np.array([1e-3 * u0, u0, 1e-3 * u0, 0.0 * u0])
+    ref = _error(lambda: _per_step_reference(cfg, ops, batch, range(4)))
+    assert ref[2] == math.inf and ref[3] == 1 and 1 < ref[0] < dynamics._RNG_BLOCK
+    _threads(monkeypatch, threads)
+    assert _error(lambda: integrate_paths(cfg, ops, batch, range(4))) == ref
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_runaway_that_overflows_later_in_the_block_still_ends_in_blow_up(threads,
+                                                                          monkeypatch):
+    # with the cubic term on, the row overflows a few steps after it trips, in
+    # the same block; no errstate here, so under the suite's error filter an
+    # overflow warning from the replay would fail the test
+    cfg, ops, amp = _linear_runaway(100)
+    cfg = dataclasses.replace(cfg, nonlinearity_enabled=True)
+    batch = np.array([0.0 * amp, amp, 0.0 * amp, 0.0 * amp])
+    with np.errstate(all="ignore"):
+        u = batch
+        for _ in range(dynamics._RNG_BLOCK):
+            u = dynamics._STEPPERS[cfg.scheme](u, np.zeros((4, 0)), np.zeros((4, 0)), cfg, ops)
+    assert not np.all(np.isfinite(u))
+    ref = _error(lambda: _per_step_reference(cfg, ops, batch, range(4)))
+    assert ref[3] == 1 and ref[2] < math.inf and ref[0] < dynamics._RNG_BLOCK
+    _threads(monkeypatch, threads)
+    assert _error(lambda: integrate_paths(cfg, ops, batch, range(4))) == ref
+
+
+def test_the_engine_checks_the_v_norm_once_per_rng_block(monkeypatch):
+    # 600 steps are 3 RNG blocks; calls made by the observables do not count
+    cfg = _cfg(t_final=0.6, nonlinearity_enabled=True, b_profiles=("0.1",),
+               g_variant="linear_diagonal", g_params=(0.2,))
+    ops = build_operators(cfg)
+    batch = np.repeat(default_initial(ops.basis, cfg.galerkin_level).coeffs[None], 3, 0)
+    calls, inside = [0], [False]
+    v_norm, observe = dynamics.v_norm_sq, dynamics._observe_batch
+
+    def counted(u, basis):
+        calls[0] += not inside[0]
+        return v_norm(u, basis)
+
+    def observed(*args):
+        inside[0] = True
+        try:
+            return observe(*args)
+        finally:
+            inside[0] = False
+    monkeypatch.setattr(dynamics, "v_norm_sq", counted)
+    monkeypatch.setattr(dynamics, "_observe_batch", observed)
+    integrate_paths(cfg, ops, batch, [0, 0, 0])
+    assert calls[0] <= math.ceil(cfg.n_steps / dynamics._RNG_BLOCK) == 3
+
+
+def test_floating_point_errors_in_a_block_that_passes_are_not_raised():
+    # beta dt = 3: the state decays by e^-3 per step and its quartic
+    # observables underflow within the first block, which ends far below the
+    # threshold; only the step-0 snapshot runs under the caller's error state
+    cfg = _cfg(beta=300.0, dt=1e-2, t_final=2.0, nonlinearity_enabled=True)
+    u0 = default_initial(build_operators(cfg).basis, cfg.galerkin_level)
+    with np.errstate(under="raise"):
+        rec = simulate(cfg, u0)
+    assert rec.table["mass"][-1] == 0.0

@@ -60,6 +60,13 @@ def test_functionals_are_bounded_and_labelled():
     assert phi({"v_norm_sq": np.array([6.0, 6.5])}).tolist() == [0.0, 1.0]   # 2.5^2 = 6.25
 
 
+@pytest.mark.parametrize("radius", [-3.0, -1e-300, math.nan])
+def test_radius_indicator_rejects_a_negative_radius(radius):
+    # squaring would test ||u||_V > |R| under the label v_gt_-3
+    with pytest.raises(ConfigurationError, match="radius must be non-negative"):
+        radius_indicator(radius)
+
+
 # ---------------------------------------------------------------------------
 # time averages
 
