@@ -9,7 +9,6 @@ from .spectral import (
     SpectralField,
     apply_frac_power,
     make_basis,
-    norms,
 )
 from .operators import (
     G_VARIANTS,
@@ -40,14 +39,13 @@ from .dynamics import (
     scaled_initial_factory,
     simulate,
     simulate_ensemble,
+    state_functionals,
 )
 from .observables import (
     ContractionReport,
-    ObservableSample,
     SupermartingaleTrace,
     contraction_diagnostic,
     mass_budget_residual,
-    observe,
     supermartingale_trace,
 )
 from .ergodicity import (

@@ -34,6 +34,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import spectral
 from .spectral import (BASIS_KINDS, ConfigurationError, EigenBasis, SpectralField,
                        check_box, check_level, make_basis, v_norm_sq)
 from .operators import (
@@ -353,16 +354,20 @@ def _snapshot_steps(cfg: SdeConfig) -> np.ndarray:
 
 
 def state_functionals(u: np.ndarray, basis: EigenBasis, alpha: float) -> Dict[str, np.ndarray]:
-    """mass, energy, v_norm_sq, z and the L^{alpha+1} norm of a batch of states."""
-    absq = u.real ** 2 + u.imag ** 2
-    mass = absq.sum(axis=-1)
-    powsum = basis.quad_weight * np.sum(
-        np.abs(basis.synthesize(u)) ** (alpha + 1.0), axis=tuple(range(-basis.dim, 0)))
-    energy = 0.5 * (basis.a_eigs * absq).sum(axis=-1) + powsum / (alpha + 1.0)
+    """mass, energy, v_norm_sq, z and the L^{alpha+1} norm of a batch of states.
+
+    The norms are spectral's, called on the module, so they are the bits the
+    blow-up guard reads and a wrapper of dynamics.v_norm_sq sees the guard only.
+    """
+    _check_alpha(alpha)
+    mass = spectral.h_norm_sq(u)
+    powsum = spectral.lp_power(u, basis, alpha + 1.0)
+    energy = 0.5 * (basis.a_eigs * (u.real ** 2 + u.imag ** 2)).sum(axis=-1) \
+        + powsum / (alpha + 1.0)
     return {
         "mass": mass,
         "energy": energy,
-        "v_norm_sq": ((1.0 + basis.a_eigs) * absq).sum(axis=-1),
+        "v_norm_sq": spectral.v_norm_sq(u, basis),
         "z": mass + 2.0 * energy,
         "l_alpha1_norm": powsum ** (1.0 / (alpha + 1.0)),
     }

@@ -112,6 +112,12 @@ def invariant_fingerprint(cfg: SdeConfig, initial_data: Sequence[Tuple[str, Spec
     """
     if len(initial_data) < 2:
         raise ConfigurationError("fingerprint needs at least 2 initial data")
+    # the report, and fingerprint.csv, key their rows by label
+    names = tuple(phi.__name__ for phi in phis)
+    for name in names:
+        if names.count(name) > 1:
+            raise ConfigurationError(f"two functionals share the label {name!r} "
+                                     "(radii are labelled to 6 significant digits)")
     n = len(initial_data)
     ops = build_operators(cfg)
     u0 = _prepare_initial(lambda j: initial_data[j][1], cfg, ops, range(n))
@@ -127,7 +133,7 @@ def invariant_fingerprint(cfg: SdeConfig, initial_data: Sequence[Tuple[str, Spec
         values[i] = time_average(times, rows, burn_in, times[-1])
         ks[i] = max(ks_statistic(rows[a, keep], rows[b, keep])
                     for a, b in itertools.combinations(range(n), 2))
-    return FingerprintReport(phis=tuple(p.__name__ for p in phis),
+    return FingerprintReport(phis=names,
                              tags=tuple(tag for tag, _ in initial_data), values=values,
                              pairwise_max=np.ptp(values, axis=1), ks_max=ks,
                              window=(burn_in, cfg.t_final))

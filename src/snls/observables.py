@@ -1,10 +1,9 @@
-"""Functionals of the state and trajectory-level diagnostics.
+"""Trajectory-level diagnostics.
 
-The five scalar functionals: mass = ||u||^2_H, energy = 1/2||A^{1/2}u||^2 + Fhat(u),
-v_norm_sq, z = mass + 2*energy, and the L^{alpha+1} norm.  The identity
-z = v_norm_sq + 2*Fhat(u) holds by construction.
-
-Diagnostics built on top of ensembles and trajectories:
+The five scalar functionals of a state (mass = ||u||^2_H, energy =
+1/2||A^{1/2}u||^2 + Fhat(u), v_norm_sq, z = mass + 2*energy and the
+L^{alpha+1} norm) are dynamics.state_functionals.  Diagnostics built on top
+of ensembles and trajectories:
 
   mass_budget_residual   mass(t) - mass(0) + 2 beta int mass - int hs  (trapezoid)
   supermartingale_trace  E[e^{lambda t} mass(t)] with a monotonicity audit
@@ -19,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import SpectralField, h_norm_sq
-from .operators import _check_alpha
 from .dynamics import (
     ConfigurationError,
     EnsembleReport,
@@ -30,25 +28,7 @@ from .dynamics import (
     build_operators,
     cumulative_trapezoid,
     integrate_paths,
-    state_functionals,
 )
-
-
-@dataclass(frozen=True)
-class ObservableSample:
-    t: float
-    mass: float
-    energy: float
-    v_norm_sq: float
-    z: float
-    l_alpha1_norm: float
-
-
-def observe(u: SpectralField, alpha: float, t: float = 0.0) -> ObservableSample:
-    """Pure evaluation of the five functionals at one state."""
-    _check_alpha(alpha)
-    values = state_functionals(u.coeffs[None, :], u.basis, alpha)
-    return ObservableSample(t=t, **{name: float(v[0]) for name, v in values.items()})
 
 
 def mass_budget_residual(record: TrajectoryRecord) -> np.ndarray:

@@ -31,7 +31,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .spectral import ConfigurationError, EigenBasis, SpectralField, check_level
+from .spectral import (ConfigurationError, EigenBasis, SpectralField, check_level,
+                       h_norm_sq, lp_power, v_norm_sq)
 
 logger = logging.getLogger(__name__)
 
@@ -116,8 +117,7 @@ def apply_F(u: SpectralField, alpha: float) -> SpectralField:
 def antiderivative_F(u: SpectralField, alpha: float) -> float:
     """F_hat(u) = ||u||_{L^{alpha+1}}^{alpha+1} / (alpha+1), by grid quadrature."""
     _check_alpha(alpha)
-    grid = u.basis.synthesize(u.coeffs)
-    return float(u.basis.quad_weight * np.sum(np.abs(grid) ** (alpha + 1.0)) / (alpha + 1.0))
+    return float(lp_power(u.coeffs, u.basis, alpha + 1.0) / (alpha + 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +259,6 @@ class StateNoiseG:
             return len(self.gammas)
         return self.g_coeffs.shape[0]
 
-    @property
-    def enabled(self) -> bool:
-        return self.variant != "none" and self.n_modes > 0
-
 
 def _lowest_modes(basis: EigenBasis, count: int) -> np.ndarray:
     """Indices of the count lowest modes by (s_k, position); deterministic."""
@@ -307,12 +303,9 @@ def make_noise_G(basis: EigenBasis, variant: str, params: Sequence[float],
     g = np.zeros((len(params), basis.n_modes), dtype=np.complex128)
     g[np.arange(len(params)), idx] = params
     g_grids = basis.synthesize(g)
-    absq = np.abs(g) ** 2
-    h_sq = np.sum(absq, axis=1)
-    v_sq = np.sum((1.0 + basis.a_eigs) * absq, axis=1)
-    grid_axes = tuple(range(1, g_grids.ndim))
-    lp = (basis.quad_weight * np.sum(np.abs(g_grids) ** (alpha + 1.0), axis=grid_axes)) \
-        ** (1.0 / (alpha + 1.0))
+    h_sq = h_norm_sq(g)
+    v_sq = v_norm_sq(g, basis)
+    lp = lp_power(g, basis, alpha + 1.0) ** (1.0 / (alpha + 1.0))
     # exact: the crest of a mode can fall between grid nodes
     linf = np.abs(params) * np.array([_eigenmode_sup(basis, j) for j in idx])
 
@@ -342,7 +335,7 @@ def make_noise_G(basis: EigenBasis, variant: str, params: Sequence[float],
 
 def g_fields_batch(coeffs: np.ndarray, G: StateNoiseG, basis: EigenBasis) -> np.ndarray:
     """G(u)e_m for a batch of states: returns shape (M~,) + coeffs.shape."""
-    if not G.enabled:
+    if G.variant == "none":
         return np.zeros((0,) + coeffs.shape, dtype=np.complex128)
     if G.variant == "additive":
         shape = (G.n_modes,) + (1,) * (coeffs.ndim - 1) + (basis.n_modes,)
@@ -360,7 +353,7 @@ def g_fields_batch(coeffs: np.ndarray, G: StateNoiseG, basis: EigenBasis) -> np.
 def hs_norm_sq_batch(coeffs: np.ndarray, G: StateNoiseG, basis: EigenBasis,
                      dress: Optional[np.ndarray] = None) -> np.ndarray:
     """Batched sum_m ||D G(D u) e_m||^2_H where D is an optional diagonal dressing."""
-    if not G.enabled:
+    if G.variant == "none":
         return np.zeros(coeffs.shape[:-1])
     v = coeffs if dress is None else coeffs * dress
     stack = g_fields_batch(v, G, basis)

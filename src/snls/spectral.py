@@ -161,9 +161,6 @@ class SpectralField:
         if not np.all(np.isfinite(self.coeffs.view(np.float64))):
             raise BasisError("non-finite coefficient")
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.coeffs.copy(), self.basis)
-
 
 # ---------------------------------------------------------------------------
 # construction
@@ -281,36 +278,23 @@ def apply_frac_power(u: SpectralField, which: str, exponent: float) -> SpectralF
     return SpectralField(u.coeffs * mult, u.basis)
 
 
-@dataclass(frozen=True)
-class NormRecord:
-    h_norm_sq: float
-    v_norm_sq: float
-    basis: EigenBasis = field(repr=False)
-    _grid_abs: np.ndarray = field(repr=False)
-
-    def lp_norm(self, p: float) -> float:
-        if p < 1.0 or not np.isfinite(p):
-            raise BasisError("lp_norm requires p in [1, inf)")
-        return float((self.basis.quad_weight * np.sum(self._grid_abs ** p)) ** (1.0 / p))
-
-
-def norms(u: SpectralField) -> NormRecord:
-    """H and V norms from coefficients, Lp norms by oversampled-grid quadrature."""
-    absq = np.abs(u.coeffs) ** 2
-    h = float(np.sum(absq))
-    v = float(np.sum((1.0 + u.basis.a_eigs) * absq))
-    grid_abs = np.abs(u.basis.synthesize(u.coeffs))
-    return NormRecord(h_norm_sq=h, v_norm_sq=v, basis=u.basis, _grid_abs=grid_abs)
-
+# ---------------------------------------------------------------------------
+# norms of a batch of states: the one definition the engine, its tables and
+# the diagnostics share, so each norm has the same bits wherever it is read
 
 def h_norm_sq(coeffs: np.ndarray) -> np.ndarray:
-    """Batched squared H-norm along the last axis."""
-    # the float view needs a contiguous layout; a row or slice of a batch may be strided
-    c = np.ascontiguousarray(coeffs)
-    r = c.view(np.float64).reshape(c.shape + (2,))
-    return np.sum(r * r, axis=(-2, -1))
+    """Batched squared H-norm along the last axis: sum |c_k|^2."""
+    return (coeffs.real ** 2 + coeffs.imag ** 2).sum(axis=-1)
 
 
 def v_norm_sq(coeffs: np.ndarray, basis: EigenBasis) -> np.ndarray:
     """Batched squared V-norm: sum (1 + a_k) |c_k|^2."""
-    return np.sum((1.0 + basis.a_eigs) * (np.abs(coeffs) ** 2), axis=-1)
+    return ((1.0 + basis.a_eigs) * (coeffs.real ** 2 + coeffs.imag ** 2)).sum(axis=-1)
+
+
+def lp_power(coeffs: np.ndarray, basis: EigenBasis, p: float) -> np.ndarray:
+    """Batched ||u||_{L^p}^p for p in [1, inf), by quadrature on the grid."""
+    if not (p >= 1.0 and np.isfinite(p)):
+        raise BasisError(f"lp_power requires p in [1, inf), got {p}")
+    return basis.quad_weight * np.sum(np.abs(basis.synthesize(coeffs)) ** p,
+                                      axis=tuple(range(-basis.dim, 0)))

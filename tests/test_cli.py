@@ -249,6 +249,18 @@ def test_invariant_tests_each_configured_radius_exactly(tmp_path, monkeypatch):
         assert phi({"v_norm_sq": np.array([r * r])})[0] == 0.0, r
 
 
+def test_invariant_radii_with_one_label_exit_2_before_the_fingerprint(tmp_path, capsys):
+    # both radii print as v_gt_1, so their fingerprint rows could not be told apart
+    text = BASE_CFG.replace("run.radii = 1, 2", "run.radii = 1.0000001, 1.0000002")
+    cfg = _write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    rc = main(["invariant", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "'v_gt_1'" in err and "Traceback" not in err
+    assert not (out / "fingerprint.csv").exists()
+
+
 def test_horizon_off_the_step_grid_exits_2_before_any_output(tmp_path, capsys):
     text = BASE_CFG.replace("dt = 1e-3", "dt = 3e-4").replace("t_final = 0.02",
                                                               "t_final = 0.1")

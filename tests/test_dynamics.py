@@ -25,7 +25,7 @@ from snls.dynamics import (
     simulate_ensemble,
 )
 from snls.operators import G_VARIANTS
-from snls.spectral import BASIS_KINDS, SpectralField, make_basis, v_norm_sq
+from snls.spectral import BASIS_KINDS, SpectralField, h_norm_sq, lp_power, make_basis, v_norm_sq
 
 
 def _rho_oracle(t: float) -> float:
@@ -822,6 +822,25 @@ def test_the_engine_checks_the_v_norm_once_per_rng_block(monkeypatch):
     monkeypatch.setattr(dynamics, "_observe_batch", observed)
     integrate_paths(cfg, ops, batch, [0, 0, 0])
     assert calls[0] <= math.ceil(cfg.n_steps / dynamics._RNG_BLOCK) == 3
+
+
+@pytest.mark.parametrize("kind", BASIS_KINDS)
+def test_the_guard_and_the_tables_read_the_same_norms(kind):
+    # one definition per norm: the guard's v_norm_sq, h_norm_sq and lp_power
+    # of a snapshot, a batch of one as in the engine, are the table's bits
+    cfg = _cfg(domain_kind=kind, modes_per_axis=8 if kind.endswith("2d") else 16,
+               beta=0.5, nonlinearity_enabled=True, t_final=0.1, snapshot_stride=1,
+               b_profiles=("0.2", "0.1/(1+lambda)"), g_variant="bounded_nemytskii",
+               g_params=(0.3, 0.2))
+    basis = build_operators(cfg).basis
+    rec = simulate(cfg, default_initial(basis, cfg.galerkin_level, mass=3.0),
+                   collect_states=True)
+    rows = rec.states[:, None]
+    p = cfg.alpha + 1.0
+    assert np.array_equal(v_norm_sq(rows, basis)[:, 0], rec.table["v_norm_sq"])
+    assert np.array_equal(h_norm_sq(rows)[:, 0], rec.table["mass"])
+    assert np.array_equal(lp_power(rows, basis, p)[:, 0] ** (1.0 / p),
+                          rec.table["l_alpha1_norm"])
 
 
 def test_floating_point_errors_in_a_block_that_passes_are_not_raised():

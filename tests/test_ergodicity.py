@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from snls import dynamics
 from snls.dynamics import (
     ConfigurationError,
     SdeConfig,
@@ -196,6 +197,21 @@ def test_fingerprint_evaluates_each_functional_once():
     assert calls == [(3, 26)]                  # one call on the whole batch table
     assert rep.phis == ("counted", "min_mass_1")
     assert np.array_equal(rep.values[0], rep.values[1])
+
+
+@pytest.mark.parametrize("phis", [
+    (min_mass_1, radius_indicator(1.0000001), radius_indicator(1.0000002)),
+    (min_mass_1, tanh_v_norm_sq, min_mass_1),
+])
+def test_fingerprint_rejects_two_functionals_with_one_label(phis, monkeypatch):
+    # fingerprint.csv keys its rows by label; the error comes before any integration
+    monkeypatch.setattr(dynamics, "integrate_paths",
+                        lambda *args: pytest.fail("the fingerprint integrated"))
+    cfg = _cfg(t_final=0.25)
+    fam = default_initial_family(build_operators(cfg).basis, cfg.galerkin_level, count=3)
+    label = phis[-1].__name__
+    with pytest.raises(ConfigurationError, match=f"share the label '{label}'"):
+        invariant_fingerprint(cfg, fam, phis=phis)
 
 
 @pytest.mark.parametrize("b_profiles", [(), ("0.3", "0.1/(1+lambda)")])

@@ -2,6 +2,7 @@
 
 import logging
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,12 +17,12 @@ from snls.dynamics import (
     default_initial_family,
     simulate,
     simulate_ensemble,
+    state_functionals,
 )
 from snls.ergodicity import decay_rate_fit
 from snls.observables import (
     contraction_diagnostic,
     mass_budget_residual,
-    observe,
     supermartingale_trace,
 )
 from snls.operators import antiderivative_F
@@ -46,19 +47,30 @@ def _random_band_field(basis, seed=4):
 # ---------------------------------------------------------------------------
 # pointwise functionals
 
-def test_observe_zero_field_is_identically_zero():
+def _functionals(u: SpectralField, alpha: float) -> SimpleNamespace:
+    """The five functionals of one state, as a batch of one."""
+    values = state_functionals(u.coeffs[None, :], u.basis, alpha)
+    return SimpleNamespace(**{name: float(v[0]) for name, v in values.items()})
+
+
+def test_state_functionals_of_the_zero_field_are_identically_zero():
     basis = make_basis("torus1d", 16, 2)
-    s = observe(SpectralField(np.zeros(basis.n_modes, dtype=complex), basis), 3.0, t=2.5)
+    s = _functionals(SpectralField(np.zeros(basis.n_modes, dtype=complex), basis), 3.0)
     assert (s.mass, s.energy, s.v_norm_sq, s.z, s.l_alpha1_norm) == (0, 0, 0, 0, 0)
-    assert s.t == 2.5
 
 
-def test_observe_single_torus_mode_closed_forms():
+def test_state_functionals_reject_alpha_at_most_one():
+    basis = make_basis("torus1d", 16, 2)
+    with pytest.raises(ConfigurationError, match="alpha must exceed 1"):
+        state_functionals(np.zeros((1, basis.n_modes), dtype=complex), basis, 1.0)
+
+
+def test_state_functionals_single_torus_mode_closed_forms():
     basis = make_basis("torus1d", 16, 2)
     k, c = 3, 0.8 - 0.5j
     coeffs = np.zeros(basis.n_modes, dtype=complex)
     coeffs[k] = c
-    s = observe(SpectralField(coeffs, basis), 3.0)
+    s = _functionals(SpectralField(coeffs, basis), 3.0)
     m = abs(c) ** 2
     assert s.mass == pytest.approx(m, rel=1e-13)
     assert s.v_norm_sq == pytest.approx((1 + k ** 2) * m, rel=1e-13)
@@ -66,14 +78,14 @@ def test_observe_single_torus_mode_closed_forms():
     assert s.l_alpha1_norm == pytest.approx(abs(c) / (2 * np.pi) ** 0.25, rel=1e-12)
 
 
-def test_observe_z_identity_and_scaling():
+def test_state_functionals_z_identity_and_scaling():
     basis = make_basis("torus1d", 16, 2)
     u = _random_band_field(basis)
-    s = observe(u, 3.0)
+    s = _functionals(u, 3.0)
     fhat = antiderivative_F(u, 3.0)
     assert s.z == pytest.approx(s.v_norm_sq + 2.0 * fhat, rel=1e-12)
 
-    s2 = observe(SpectralField(2.0 * u.coeffs, basis), 3.0)
+    s2 = _functionals(SpectralField(2.0 * u.coeffs, basis), 3.0)
     kin = s.energy - fhat
     assert s2.mass == pytest.approx(4 * s.mass, rel=1e-13)
     assert s2.v_norm_sq == pytest.approx(4 * s.v_norm_sq, rel=1e-13)
@@ -81,13 +93,13 @@ def test_observe_z_identity_and_scaling():
     assert s2.l_alpha1_norm == pytest.approx(2 * s.l_alpha1_norm, rel=1e-13)
 
 
-def test_observe_quadrature_matches_a_refined_grid():
+def test_state_functionals_quadrature_matches_a_refined_grid():
     coarse = make_basis("torus1d", 16, 2)
     fine = make_basis("torus1d", 16, 8)
     u = _random_band_field(coarse)
     for alpha, tol in ((3.0, 1e-12), (4.5, 1e-8)):
-        a = observe(u, alpha)
-        b = observe(SpectralField(u.coeffs, fine), alpha)
+        a = _functionals(u, alpha)
+        b = _functionals(SpectralField(u.coeffs, fine), alpha)
         assert a.energy == pytest.approx(b.energy, rel=tol)
         assert a.l_alpha1_norm == pytest.approx(b.l_alpha1_norm, rel=tol)
 

@@ -14,8 +14,8 @@ from snls.spectral import (
     SpectralField,
     apply_frac_power,
     h_norm_sq,
+    lp_power,
     make_basis,
-    norms,
     v_norm_sq,
 )
 from snls.verify import ALIAS_CASES
@@ -45,7 +45,7 @@ def test_parseval(kind):
     u = random_field(basis, 2)
     grid = basis.synthesize(u.coeffs)
     quad = basis.quad_weight * np.sum(np.abs(grid) ** 2)
-    assert abs(quad - norms(u).h_norm_sq) < 1e-12 * norms(u).h_norm_sq
+    assert abs(quad - h_norm_sq(u.coeffs)) < 1e-12 * h_norm_sq(u.coeffs)
 
 
 @pytest.mark.parametrize("kind", BASIS_KINDS)
@@ -204,15 +204,24 @@ def test_frac_power_kernel_convention():
     assert np.all(np.isfinite(apply_frac_power(u, "S", -1.0).coeffs))
 
 
-def test_norm_helpers_batched():
-    basis = make_basis("torus1d", 16)
+@pytest.mark.parametrize("kind", ["torus1d", "dirichlet2d"])
+def test_norm_helpers_batched(kind):
+    basis = make_basis(kind, small(kind))
     batch = np.stack([random_field(basis, 10 + i).coeffs for i in range(5)])
     h = h_norm_sq(batch)
     v = v_norm_sq(batch, basis)
+    lp = lp_power(batch, basis, 4.0)
+    assert h.shape == v.shape == lp.shape == (5,)
     for i in range(5):
-        rec = norms(SpectralField(batch[i], basis))
-        assert h[i] == pytest.approx(rec.h_norm_sq, rel=1e-14)
-        assert v[i] == pytest.approx(rec.v_norm_sq, rel=1e-14)
+        # a row of a batch has the bits of the row alone, strided or not
+        assert h[i] == h_norm_sq(batch[i]) == h_norm_sq(batch.T.copy().T[i])
+        assert v[i] == v_norm_sq(batch[i], basis)
+        assert h[i] == pytest.approx(np.vdot(batch[i], batch[i]).real, rel=1e-14)
+        assert v[i] - h[i] == pytest.approx(np.sum(basis.a_eigs * np.abs(batch[i]) ** 2),
+                                            rel=1e-13)
+        # a 1-D transform of one row is a matrix-vector product, of a batch a
+        # matrix-matrix product, and BLAS rounds the two differently
+        assert lp[i] == pytest.approx(lp_power(batch[i], basis, 4.0), rel=1e-14)
 
 
 def test_lp_norm_against_quadrature():
@@ -220,7 +229,17 @@ def test_lp_norm_against_quadrature():
     u = random_field(basis, 4)
     grid = basis.synthesize(u.coeffs)
     want = (basis.quad_weight * np.sum(np.abs(grid) ** 4)) ** 0.25
-    assert norms(u).lp_norm(4.0) == pytest.approx(want, rel=1e-13)
+    assert lp_power(u.coeffs, basis, 4.0) ** 0.25 == pytest.approx(want, rel=1e-13)
+    # p = 1 is the smallest exponent of a norm
+    want = basis.quad_weight * np.sum(np.abs(grid))
+    assert lp_power(u.coeffs, basis, 1.0) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.0, -2.0, np.inf, np.nan])
+def test_lp_power_rejects_p_outside_one_to_inf(p):
+    basis = make_basis("torus1d", 16)
+    with pytest.raises(BasisError, match=r"p in \[1, inf\)"):
+        lp_power(random_field(basis, 4).coeffs, basis, p)
 
 
 def test_grid_spectral_conversions():
