@@ -22,13 +22,11 @@ one RNG stream layout (master_seed, path_index).
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import ctypes
 import functools
 import logging
 import math
 import os
-import threading
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -463,6 +461,34 @@ def engine_info(rows: Optional[int], grid_shape: Sequence[int]) -> Dict[str, obj
             "blas_pinned": _openblas_threads() is not None}
 
 
+def _slice_noise(cfg: SdeConfig, ops: GalerkinOps, keys: Sequence[int]):
+    """draw(block) -> the (block, rows, nb+ng) increments of a slice whose row r
+    has noise key keys[r]; one driver per distinct key, in first-seen order."""
+    index = {k: i for i, k in enumerate(dict.fromkeys(keys))}
+    slots = np.array([index[k] for k in keys])
+    nb, ng = ops.B.n_modes, ops.G.n_modes
+    drivers = [BrownianDriver(cfg.seed, k, nb, ng, cfg.dt) for k in index]
+
+    def draw(block: int) -> np.ndarray:
+        incs = np.empty((block, len(drivers), nb + ng))
+        for s, d in enumerate(drivers):
+            dW, dWt = d.increments(block)
+            incs[:, s, :nb] = dW
+            incs[:, s, nb:] = dWt
+        return incs[:, slots] if len(drivers) < len(slots) else incs   # keys shared between rows
+
+    return draw
+
+
+@functools.lru_cache(maxsize=None)
+def _workers(n: int, pid: int):
+    """A pool of n threads for row slices, made at the first call that needs
+    it and kept for the life of the process; keyed by pid, so that a forked
+    child makes its own."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(n)
+
+
 def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
                     streams: Sequence[int], collect_states: bool = False):
     """Advance a batch of paths in lockstep, sampling observables on the stride grid.
@@ -475,9 +501,21 @@ def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
     n_modes) when collect_states is set and None otherwise.
 
     A large batch runs as contiguous row slices, one per engine_threads
-    thread, with OpenBLAS held at one thread for the call.  Each slice
-    builds its own driver for each of its keys, so a row's result does not
-    depend on the split, and a BlowUpError names what a serial run would.
+    thread: the first on the calling thread, the others on a pool that the
+    process keeps, with OpenBLAS held at one thread for the call.  Each
+    slice draws from its own driver for each of its keys, so a row's result
+    does not depend on the split.
+
+    The threads run only the steps of each RNG block and observe its
+    snapshots, the initial one included, with floating-point errors
+    ignored.  The calling thread then checks the blow-up rule once, on the
+    block's last state of the whole batch.  When it trips, the block is
+    replayed on the whole batch from its start state under the caller's
+    error state, checking every step with _check_rows; non-finite values
+    stay non-finite, so the replay raises the error (or warning) of the
+    first step that breaks the rule.  A row that exceeds BLOWUP_V_NORM and
+    falls back below it within one block passes, and so do floating-point
+    errors in a block that passes.
     """
     P = u0_batch.shape[0]
     if len(streams) != P:
@@ -485,59 +523,72 @@ def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
                                  f"{len(streams)} keys for {P} paths")
     streams = [int(k) for k in streams]
     snap_steps = _snapshot_steps(cfg)
+    snapset = {int(s): i for i, s in enumerate(snap_steps)}
     tables = {name: np.empty((P, len(snap_steps))) for name in OBSERVABLE_NAMES}
     states = np.empty((len(snap_steps), P, ops.basis.n_modes), dtype=np.complex128) \
         if collect_states else None
-    u = np.empty((P, ops.basis.n_modes), dtype=np.complex128)
-
-    def run(rows: slice):
-        u[rows] = _integrate_rows(cfg, ops, u0_batch[rows], streams[rows], snap_steps,
-                                  {name: t[rows] for name, t in tables.items()},
-                                  None if states is None else states[:, rows])
-
+    stepper = _STEPPERS[cfg.scheme]
+    nb = ops.B.n_modes
     n = engine_threads(P, ops.basis.grid_shape)
     bounds = [P * i // n for i in range(n + 1)]
+    slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    draws = [_slice_noise(cfg, ops, streams[rows]) for rows in slices]
+
+    def record(u: np.ndarray, rows: slice, i: int):
+        obs = _observe_batch(u, cfg, ops)
+        for name in OBSERVABLE_NAMES:
+            tables[name][rows, i] = obs[name]
+        if states is not None:
+            states[i, rows] = u
+
+    def advance(u: np.ndarray, rows: slice, step: int, incs: np.ndarray,
+                check: bool) -> np.ndarray:
+        """Run the steps of one block on `rows` from u at `step`; check each one if asked."""
+        for inc in incs:
+            u = stepper(u, inc[:, :nb], inc[:, nb:], cfg, ops)
+            step += 1
+            if check:
+                _check_rows(u, step, cfg, ops)
+            i = snapset.get(step)
+            if i is not None:
+                record(u, rows, i)
+        return u
+
+    def fast(j: int, u: np.ndarray, step: int, block: int) -> np.ndarray:
+        """One unchecked block of slice j of the batch u; returns its last state."""
+        rows = slices[j]
+        with np.errstate(all="ignore"):
+            if step == 0:
+                record(u[rows], rows, 0)
+            return advance(u[rows], rows, step, draws[j](block), False)
+
+    def replay(u: np.ndarray, step: int, block: int) -> np.ndarray:
+        """The block from u at `step` on the whole batch, checking every step.
+        Fresh drivers draw its increments again: a stream's draws do not
+        depend on how it is cut into blocks."""
+        again = [_slice_noise(cfg, ops, streams[rows]) for rows in slices]
+        for _ in range(0, step, _RNG_BLOCK):
+            for draw in again:
+                draw(_RNG_BLOCK)
+        incs = np.concatenate([draw(block) for draw in again], axis=1)
+        return advance(u, slice(None), step, incs, True)
+
+    pool = _workers(n - 1, os.getpid()) if n > 1 else None
+    u = u0_batch.copy()
     with _blas_pinned():
-        if n == 1:
-            run(slice(0, P))
-        else:
-            _run_slices(run, [slice(a, b) for a, b in zip(bounds, bounds[1:])])
+        # at t_final = 0, one block of no steps records the initial snapshot
+        for step in range(0, max(cfg.n_steps, 1), _RNG_BLOCK):
+            block = min(_RNG_BLOCK, cfg.n_steps - step)
+            later = [pool.submit(fast, j, u, step, block) for j in range(1, n)]
+            try:
+                head = fast(0, u, step, block)
+            finally:    # no slice outlives the call, also when this one raises
+                rest = [f.result() for f in later]
+            end = np.concatenate([head] + rest)
+            with np.errstate(all="ignore"):
+                vsq = v_norm_sq(end, ops.basis)
+            u = end if np.all(vsq <= BLOWUP_V_NORM ** 2) else replay(u, step, block)
     return snap_steps * cfg.dt, tables, u, states
-
-
-def _run_slices(run, slices: Sequence[slice]) -> None:
-    """run(s) for every slice, the first on this thread and each other on its own.
-
-    Raises the first error that is not a BlowUpError, else the blow-up a
-    serial run raises: the earliest step; at that step a non-finite row
-    before a finite one, then the largest V-norm, then the lowest row.
-    """
-    errors: list = [None] * len(slices)
-
-    def work(i: int):
-        try:
-            run(slices[i])
-        except Exception as exc:   # re-raised below, on the calling thread
-            errors[i] = exc
-
-    # each thread runs in a copy of the caller's context, so np.errstate holds there too
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(work, i))
-               for i in range(1, len(slices))]
-    for t in threads:
-        t.start()
-    try:
-        work(0)
-    finally:
-        for t in threads:
-            t.join()
-    for exc in errors:
-        if exc is not None and not isinstance(exc, BlowUpError):
-            raise exc
-    blow_ups = [(s.start + e.path_index, e) for s, e in zip(slices, errors) if e is not None]
-    if blow_ups:
-        row, e = min(blow_ups, key=lambda b: (b[1].step, math.isfinite(b[1].v_norm),
-                                              -b[1].v_norm, b[0]))
-        raise BlowUpError(e.step, e.t, e.v_norm, row) from None
 
 
 def _check_rows(u: np.ndarray, step: int, cfg: SdeConfig, ops: GalerkinOps) -> None:
@@ -550,72 +601,6 @@ def _check_rows(u: np.ndarray, step: int, cfg: SdeConfig, ops: GalerkinOps) -> N
     worst = int(np.argmax(vsq))
     if vsq[worst] > BLOWUP_V_NORM ** 2:
         raise BlowUpError(step, step * cfg.dt, float(np.sqrt(vsq[worst])), worst)
-
-
-def _integrate_rows(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
-                    streams: Sequence[int], snap_steps: np.ndarray,
-                    tables: Dict[str, np.ndarray], states: Optional[np.ndarray]) -> np.ndarray:
-    """The serial engine: advance the rows, writing into the views tables and
-    states; returns the final batch.  A BlowUpError names a row of this batch.
-
-    The blow-up rule is checked once per RNG block, on the block's last state,
-    with floating-point errors ignored inside the block.  When it trips, the
-    block is replayed from its start state under the caller's error state,
-    checking every step; non-finite values stay non-finite, so the replay
-    raises the error (or warning) of the first step that breaks the rule.  A
-    row that exceeds BLOWUP_V_NORM and falls back below it within one block
-    passes, and so do floating-point errors in a block that passes.
-    """
-    # driver slot per distinct key, in first-seen order; slots[r] is row r's driver
-    index = {k: i for i, k in enumerate(dict.fromkeys(streams))}
-    slots = np.array([index[k] for k in streams])
-    n_steps = cfg.n_steps
-    snapset = {int(s): i for i, s in enumerate(snap_steps)}
-    stepper = _STEPPERS[cfg.scheme]
-    nb, ng = ops.B.n_modes, ops.G.n_modes
-
-    drivers = [BrownianDriver(cfg.seed, k, nb, ng, cfg.dt) for k in index]
-
-    def record(u: np.ndarray, i: int):
-        obs = _observe_batch(u, cfg, ops)
-        for name in OBSERVABLE_NAMES:
-            tables[name][:, i] = obs[name]
-        if states is not None:
-            states[i] = u
-
-    def advance(u: np.ndarray, step: int, incs: np.ndarray, check: bool) -> np.ndarray:
-        """Run the steps of one block from u at `step`; check each one if asked."""
-        for inc in incs:
-            u = stepper(u, inc[:, :nb], inc[:, nb:], cfg, ops)
-            step += 1
-            if check:
-                _check_rows(u, step, cfg, ops)
-            i = snapset.get(step)
-            if i is not None:
-                record(u, i)
-        return u
-
-    u = u0_batch.copy()
-    record(u, 0)
-    step = 0
-    while step < n_steps:
-        block = min(_RNG_BLOCK, n_steps - step)
-        # increments per step and stream for this block: (block, n_streams, nb+ng)
-        incs = np.empty((block, len(drivers), nb + ng))
-        for s, d in enumerate(drivers):
-            dW, dWt = d.increments(block)
-            incs[:, s, :nb] = dW
-            incs[:, s, nb:] = dWt
-        if len(drivers) < len(slots):      # keys shared between rows
-            incs = incs[:, slots]
-        start = u
-        with np.errstate(all="ignore"):
-            u = advance(start, step, incs, False)
-            vsq = v_norm_sq(u, ops.basis)
-        if not np.all(vsq <= BLOWUP_V_NORM ** 2):
-            u = advance(start, step, incs, True)
-        step += block
-    return u
 
 
 def simulate(cfg: SdeConfig, initial: SpectralField,
