@@ -20,7 +20,6 @@ from . import __version__
 from .spectral import make_basis
 from .dynamics import (
     _ENSEMBLE_CHUNK,
-    BlowUpError,
     ConfigurationError,
     OBSERVABLE_NAMES,
     default_initial,
@@ -129,8 +128,7 @@ def _run_verify(cfg, out: Path, checksum: str) -> int:
             for rec in records:
                 fh.write(json.dumps(rec) + "\n")
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return 1
+        raise RuntimeError(f"cannot write {path}: {exc}") from exc
     for rec in records:
         print(f"[{rec['status']}] {rec['name']}: measured {rec['measured']:.3e} "
               f"tolerance {rec['tolerance']:.3e}")
@@ -212,9 +210,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.mode == "invariant":
             return _run_invariant(cfg, out, checksum)
         return _run_verify(cfg, out, checksum)
-    except BlowUpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -116,6 +116,12 @@ class SdeConfig:
         if self.g_variant not in G_VARIANTS:
             raise ConfigurationError(f"key 'noise.G.variant': expected one of {G_VARIANTS}, "
                                      f"got {self.g_variant!r}")
+        if self.g_variant == "none" and self.g_params:
+            raise ConfigurationError(f"key 'noise.G.params': G variant 'none' takes no "
+                                     f"parameters, got {self.g_params}")
+        if self.g_variant != "none" and not self.g_params:
+            raise ConfigurationError(f"key 'noise.G.params': G variant {self.g_variant!r} "
+                                     f"needs at least one parameter")
         _check_alpha(self.alpha)
         for name, key in _REAL_KEYS.items():
             value = getattr(self, name)

@@ -180,7 +180,7 @@ def decay_rate_fit(report: EnsembleReport) -> DecayRateFit:
         raise ConfigurationError("decay-rate fit needs at least 3 usable snapshots")
 
     y = np.log(mean)
-    sig = np.where(mean > 0.0, se / mean, np.inf)
+    sig = se / mean
     if np.max(sig) == 0.0:
         w = np.ones_like(y)
     else:
@@ -195,10 +195,10 @@ def decay_rate_fit(report: EnsembleReport) -> DecayRateFit:
 
     dof = len(t) - 2
     chi2 = np.sum(w * resid ** 2)
-    inflate = max(1.0, math.sqrt(chi2 / dof)) if dof > 0 else 1.0
+    inflate = max(1.0, math.sqrt(chi2 / dof))
     se_wls = inflate / math.sqrt(sxx)
     sxx_o = np.sum((t - np.mean(t)) ** 2)
-    se_ols = math.sqrt(max(np.sum(resid ** 2), 0.0) / max(dof, 1) / sxx_o)
+    se_ols = math.sqrt(np.sum(resid ** 2) / dof / sxx_o)
     se_slope = max(se_wls, se_ols)
 
     if slope >= 0.0:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import ast
 import logging
 import math
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -124,15 +125,20 @@ def antiderivative_F(u: SpectralField, alpha: float) -> float:
 # linear noise B: diagonal spectral multipliers b_{m,k} = profile_m(s_k)
 
 _ALLOWED_FUNCS = {"sqrt": np.sqrt, "exp": np.exp}
+# `lambda` is a Python keyword: a profile is parsed with each whole word
+# `lambda` rewritten to this name, which the text itself may not spell
+_LAMBDA = "lambda_"
 
 
 def _eval_profile(expr: str, lam: np.ndarray) -> np.ndarray:
     """Evaluate a multiplier profile such as `0.2/(1+lambda)` on the S-spectrum.
 
     Tiny arithmetic grammar: numbers, lambda, + - * / ** (or ^), parentheses,
-    sqrt and exp. Anything else is rejected with the offending construct named.
+    sqrt and exp. Anything else is rejected with the offending construct
+    named and the profile quoted as written.
     """
-    src = expr.replace("^", "**")
+    src = re.sub(r"\blambda\b", _LAMBDA, expr).replace("^", "**")
+    written = set(re.findall(r"\w+", expr))
     try:
         tree = ast.parse(src, mode="eval")
     except SyntaxError as e:
@@ -144,7 +150,7 @@ def _eval_profile(expr: str, lam: np.ndarray) -> np.ndarray:
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
             return float(node.value)
         if isinstance(node, ast.Name):
-            if node.id in ("lambda_", "lam", "s"):
+            if node.id == _LAMBDA and _LAMBDA not in written:
                 return lam
             raise OperatorError(f"unknown name {node.id!r} in B profile {expr!r}")
         if isinstance(node, ast.BinOp):
@@ -163,15 +169,10 @@ def _eval_profile(expr: str, lam: np.ndarray) -> np.ndarray:
             raise OperatorError(f"unsupported call {node.func.id!r} in B profile {expr!r}")
         raise OperatorError(f"unsupported construct in B profile {expr!r}")
 
-    # `lambda` is a Python keyword; accept it by rewriting before parsing.
     # Division by zero is allowed to flow through: the caller rejects
     # non-finite multipliers with a named error.
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.asarray(ev(tree), dtype=float) * np.ones_like(lam)
-
-
-def _rewrite_lambda(expr: str) -> str:
-    return expr.replace("lambda", "lambda_")
 
 
 @dataclass(frozen=True)
@@ -194,7 +195,7 @@ def make_noise_B(basis: EigenBasis, profiles: Sequence[str]) -> LinearNoiseB:
     # Schur/Young kernel constant: 1 on the torus, 2^{d/2} on the boxes
     kappa = 1.0 if basis.kind.startswith("torus") else 2.0 ** (basis.dim / 2.0)
     for p in profiles:
-        b = _eval_profile(_rewrite_lambda(p), lam)
+        b = _eval_profile(p, lam)
         if not np.all(np.isfinite(b)):
             raise OperatorError(f"B profile {p!r} produced a non-finite multiplier")
         mults.append(b)
@@ -203,11 +204,10 @@ def make_noise_B(basis: EigenBasis, profiles: Sequence[str]) -> LinearNoiseB:
         else:
             lp_bound_sq += float(kappa ** 2 * np.sum(b ** 2))
     mult = np.array(mults).reshape(len(profiles), basis.n_modes)
-    maxsq = float(np.sum(np.max(mult ** 2, axis=1))) if len(profiles) else 0.0
     return LinearNoiseB(
         multipliers=mult,
-        h_opnorm_sq_sum=maxsq,
-        lp_opnorm_sq_sum_bound=lp_bound_sq if len(profiles) else 0.0,
+        h_opnorm_sq_sum=float(np.sum(np.max(mult ** 2, axis=1))),
+        lp_opnorm_sq_sum_bound=lp_bound_sq,
     )
 
 

@@ -436,6 +436,8 @@ CHECKS: List[Tuple[str, str, Callable]] = [
      _chk_reject("alpha = 3\nalpha = 2\n", "line", ConfigError)),
     ("config_alpha_reject", "alpha constraint enforced", _chk_reject("alpha = 0.5\n", "alpha must exceed 1")),
     ("config_non_finite_reject", "non-finite reals rejected by key", _chk_reject("dt = nan\n", "key 'dt'")),
+    ("config_g_params_reject", "G params checked against the G variant",
+     _chk_reject("noise.G.params = 0.3, 0.2\n", "key 'noise.G.params'")),
 ]
 
 

@@ -296,6 +296,18 @@ def test_blow_up_exits_1(tmp_path, capsys):
     assert "blow-up" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode, name", [("simulate", "trajectory.csv"),
+                                        ("verify", "verify.json-lines")])
+def test_an_output_name_taken_by_a_directory_exits_1(tmp_path, capsys, monkeypatch, mode, name):
+    monkeypatch.setattr("snls.verify.run_verify", lambda: ([], 0))   # the battery is not under test
+    cfg = _write_cfg(tmp_path, BASE_CFG)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main([mode, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {out / name}: ")
+
+
 def test_installed_entry_point_smoke(tmp_path):
     cfg = _write_cfg(tmp_path, BASE_CFG)
     out = tmp_path / "out"

@@ -95,6 +95,8 @@ def test_full_config_parses_every_key():
     ("alpha = inf", "alpha must exceed 1"),
     ("beta = nan", "key 'beta'"),
     ("noise.G.variant = linear_diagonal\nnoise.G.params = 0.3, nan", "key 'noise.G.params'"),
+    ("noise.G.params = 0.3, 0.2", "key 'noise.G.params': G variant 'none' takes no parameters"),
+    ("noise.G.variant = additive", "key 'noise.G.params': G variant 'additive' needs"),
     ("run.radii = 1, inf", "key 'run.radii'"),
     ("run.radii = -3, 2", "key 'run.radii': radii must be non-negative"),
     ("run.lambda = nan", "key 'run.lambda'"),

@@ -538,6 +538,11 @@ def _threads(monkeypatch, n):
     monkeypatch.setattr(dynamics, "engine_threads", lambda rows, grid_shape: n)
 
 
+def _same_bits(a, b):
+    """Same shape, dtype and bytes; unlike np.array_equal, -0.0 is not 0.0."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("kind", BASIS_KINDS)
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("g_variant", G_VARIANTS)
@@ -557,9 +562,9 @@ def test_a_row_does_not_depend_on_the_split(kind, scheme, g_variant, b_on, monke
             _threads(monkeypatch, n)
             runs.append(integrate_paths(cfg, ops, batch, streams, collect_states=True))
         (_, tab1, u1, states1), (_, tab3, u3, states3) = runs
-        assert np.array_equal(u3, u1) and np.array_equal(states3, states1)
+        assert _same_bits(u3, u1) and _same_bits(states3, states1)
         for name, table in tab1.items():
-            assert np.array_equal(tab3[name], table), name
+            assert _same_bits(tab3[name], table), name
 
 
 def _antidamped_rows(amplitudes, **kw):
@@ -660,9 +665,9 @@ def test_without_the_blas_symbols_the_engine_runs_serial(monkeypatch):
     seen = _counting_stepper(monkeypatch, lambda: None)
     serial = integrate_paths(cfg, ops, batch, range(rows))
     assert {t for _, t in seen} == {threading.get_ident()}
-    assert np.array_equal(serial[2], threaded[2])
+    assert _same_bits(serial[2], threaded[2])
     for name, table in threaded[1].items():
-        assert np.array_equal(serial[1][name], table), name
+        assert _same_bits(serial[1][name], table), name
 
 
 # ---------------------------------------------------------------------------
@@ -732,10 +737,10 @@ def test_the_engine_matches_the_per_step_reference(kind, scheme, g_variant, b_on
     for streams in (list(range(6)), [0, 1, 2, 0, 1, 2]):
         times, tables, u, states = integrate_paths(cfg, ops, batch, streams, collect_states=True)
         ref = _per_step_reference(cfg, ops, batch, streams)
-        assert np.array_equal(times, ref[0])
-        assert np.array_equal(u, ref[2]) and np.array_equal(states, ref[3])
+        assert _same_bits(times, ref[0])
+        assert _same_bits(u, ref[2]) and _same_bits(states, ref[3])
         for name, table in tables.items():
-            assert np.array_equal(table, ref[1][name]), name
+            assert _same_bits(table, ref[1][name]), name
 
 
 def _linear_runaway(trip_step: int, t_final: float = 3.2):

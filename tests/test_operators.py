@@ -191,6 +191,22 @@ def test_profile_rejects_unsafe_text():
             make_noise_B(basis, (bad,))
 
 
+@pytest.mark.parametrize("text, says", [
+    ("lam", "unknown name 'lam'"),
+    ("s", "unknown name 's'"),
+    ("lambda_", "unknown name 'lambda_'"),
+    ("lambda * lambda_", "unknown name 'lambda_'"),
+    ("lam*s + lambda__", "unknown name 'lam'"),
+    ("0.1/(1+lambda", "unparsable"),
+    ("min(lambda, 1)", "unsupported call 'min'"),
+])
+def test_profile_knows_only_lambda_and_quotes_the_text_as_written(text, says):
+    basis = make_basis("torus1d", 8)
+    with pytest.raises(OperatorError) as exc:
+        make_noise_B(basis, (text,))
+    assert says in str(exc.value) and f"B profile {text!r}" in str(exc.value)
+
+
 def test_profile_rejects_non_finite():
     basis = make_basis("torus1d", 8)   # has a mode with s = 1
     with pytest.raises(OperatorError):
