@@ -723,7 +723,7 @@ def default_initial(basis: EigenBasis, level: int, mass: float = 1.0,
     idx = np.arange(basis.n_modes)
     c = np.exp(-basis.s_eigs / s_scale) * (1.0 + tilt * 1j) * np.exp(0.9j * idx)
     c = c * mask
-    nrm = np.sum(np.abs(c) ** 2)
+    nrm = spectral.h_norm_sq(c)
     if nrm == 0.0:
         raise ConfigurationError("empty Galerkin band for the default initial datum")
     return SpectralField(c * math.sqrt(mass / nrm), basis)

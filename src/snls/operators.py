@@ -360,4 +360,4 @@ def hs_norm_sq_batch(coeffs: np.ndarray, G: StateNoiseG, basis: EigenBasis,
     if dress is not None:
         stack = stack * dress
     # mode axis first, then noise axis: a row's sum does not depend on the batch size
-    return np.sum(np.sum(np.abs(stack) ** 2, axis=-1), axis=0)
+    return np.sum(h_norm_sq(stack), axis=0)

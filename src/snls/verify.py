@@ -60,8 +60,7 @@ def _chk_parseval():
         basis = make_basis(kind, m)
         u = _rand_field(basis, 202)
         h = float(h_norm_sq(u.coeffs))
-        grid = basis.synthesize(u.coeffs)
-        quad = float(basis.quad_weight * np.sum(np.abs(grid) ** 2))
+        quad = float(lp_power(u.coeffs, basis, 2.0))
         worst = max(worst, abs(quad - h) / h)
     return worst, 1e-12
 
