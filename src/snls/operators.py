@@ -147,7 +147,7 @@ def _eval_profile(expr: str, lam: np.ndarray) -> np.ndarray:
     def ev(node):
         if isinstance(node, ast.Expression):
             return ev(node.body)
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):   # not bool
             return float(node.value)
         if isinstance(node, ast.Name):
             if node.id == _LAMBDA and _LAMBDA not in written:

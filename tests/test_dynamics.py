@@ -851,7 +851,7 @@ def test_the_guard_and_the_tables_read_the_same_norms(kind):
 def test_floating_point_errors_in_a_block_that_passes_are_not_raised():
     # beta dt = 3: the state decays by e^-3 per step and its quartic
     # observables underflow within the first block, which ends far below the
-    # threshold; only the step-0 snapshot runs under the caller's error state
+    # threshold; no snapshot runs under the caller's error state
     cfg = _cfg(beta=300.0, dt=1e-2, t_final=2.0, nonlinearity_enabled=True)
     u0 = default_initial(build_operators(cfg).basis, cfg.galerkin_level)
     with np.errstate(under="raise"):

@@ -186,7 +186,7 @@ def test_profile_grammar():
 
 def test_profile_rejects_unsafe_text():
     basis = make_basis("torus1d", 8)
-    for bad in ("__import__('os')", "min(1,2)", "x", "lambda: 1", "1;2", "[1]"):
+    for bad in ("__import__('os')", "min(1,2)", "x", "lambda: 1", "1;2", "[1]", "True"):
         with pytest.raises(OperatorError):
             make_noise_B(basis, (bad,))
 
