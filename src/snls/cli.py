@@ -37,8 +37,6 @@ from .config import (
     parse_config,
 )
 
-MODES = ("simulate", "ensemble", "invariant", "verify")
-
 _TRAJ_COLUMNS = ("t",) + OBSERVABLE_NAMES
 _FAMILY_SIZE = 3    # initial data of the invariant fingerprint, one batch row each
 
@@ -47,16 +45,21 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_csv(path: Path, checksum: str, columns: Sequence[str], rows) -> None:
+def _write(path: Path, lines) -> None:
+    """Write one output file, a line per item; any OSError is a run failure."""
     try:
         with open(path, "w") as fh:
-            fh.write(f"# config_checksum={checksum}\n")
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(cell if isinstance(cell, str) else _fmt(cell)
-                                  for cell in row) + "\n")
+            for line in lines:
+                fh.write(line + "\n")
     except OSError as exc:
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
+
+
+def _csv(checksum: str, columns: Sequence[str], rows):
+    yield f"# config_checksum={checksum}"
+    yield ",".join(columns)
+    for row in rows:
+        yield ",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row)
 
 
 def _default_config_path() -> Path:
@@ -72,7 +75,7 @@ def _run_simulate(cfg, out: Path, checksum: str) -> int:
     rec = simulate(cfg, _build_initial(cfg))
     rows = ((rec.times[i],) + tuple(rec.table[n][i] for n in OBSERVABLE_NAMES)
             for i in range(len(rec.times)))
-    _write_csv(out / "trajectory.csv", checksum, _TRAJ_COLUMNS, rows)
+    _write(out / "trajectory.csv", _csv(checksum, _TRAJ_COLUMNS, rows))
     return 0
 
 def _run_ensemble(cfg, out: Path, checksum: str) -> int:
@@ -96,7 +99,7 @@ def _run_ensemble(cfg, out: Path, checksum: str) -> int:
                 row += [smg.value[i], s ** 2 * rep.var["mass"][i], smg.stderr[i]]
             yield row
 
-    _write_csv(out / "ensemble.csv", checksum, columns, rows())
+    _write(out / "ensemble.csv", _csv(checksum, columns, rows()))
     return 0
 
 
@@ -112,28 +115,62 @@ def _run_invariant(cfg, out: Path, checksum: str) -> int:
             rows.append((phi, tag, rep.values[i, j], window))
         rows.append((phi, "pairwise_max_diff", rep.pairwise_max[i], window))
         rows.append((phi, "ks_max", rep.ks_max[i], window))
-    _write_csv(out / "fingerprint.csv", checksum, ("phi", "initial_tag", "value", "window"),
-               rows)
+    _write(out / "fingerprint.csv",
+           _csv(checksum, ("phi", "initial_tag", "value", "window"), rows))
     return 0
 
 
 def _run_verify(cfg, out: Path, checksum: str) -> int:
     from .verify import run_verify
     records, n_failed = run_verify()
-    path = out / "verify.json-lines"
-    try:
-        with open(path, "w") as fh:
-            fh.write(json.dumps({"config_checksum": checksum,
-                                 "tool_version": __version__}) + "\n")
-            for rec in records:
-                fh.write(json.dumps(rec) + "\n")
-    except OSError as exc:
-        raise RuntimeError(f"cannot write {path}: {exc}") from exc
+    head = {"config_checksum": checksum, "tool_version": __version__}
+    _write(out / "verify.json-lines", map(json.dumps, [head] + records))
     for rec in records:
         print(f"[{rec['status']}] {rec['name']}: measured {rec['measured']:.3e} "
               f"tolerance {rec['tolerance']:.3e}")
     print(f"{len(records)} checks, {n_failed} failed")
     return 0 if n_failed == 0 else 1
+
+
+_MODES = {"simulate": _run_simulate, "ensemble": _run_ensemble,
+          "invariant": _run_invariant, "verify": _run_verify}
+
+
+def _run(args) -> int:
+    """One CLI run; an input it rejects raises ConfigurationError, a failed run RuntimeError."""
+    config_path = args.config
+    if config_path is None:
+        if args.mode != "verify":
+            raise ConfigurationError("--config is required for this mode")
+        config_path = _default_config_path()
+    try:
+        text = config_path.read_text()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config {config_path}: {exc}") from exc
+    cfg = parse_config(text)
+    # replace() re-runs SdeConfig's validation on the overridden values
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
+    if args.paths is not None:
+        cfg = replace(cfg, paths=args.paths)
+    constants = compute_constants(cfg)
+    checksum = config_checksum(text)
+    out = args.out if args.out is not None else Path(".")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output directory {out}: {exc}") from exc
+
+    # rows of the engine batch each mode runs; verify runs batches of its own
+    rows = {"simulate": 1, "ensemble": min(cfg.paths, _ENSEMBLE_CHUNK),
+            "invariant": _FAMILY_SIZE}.get(args.mode)
+    manifest = RunManifest(mode=args.mode, out_dir=str(out), tool_version=__version__,
+                           config_checksum=checksum, cfg=cfg, constants=constants,
+                           engine=engine_info(rows, constants.grid_shape))
+    _write(out / "run_manifest.json", [manifest.to_json()])
+    for line in constants.lines():
+        print(line)
+    return _MODES[args.mode](cfg, out, checksum)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -143,7 +180,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="snls",
         description="Spectral Galerkin simulator for the damped stochastic "
                     "nonlinear Schrodinger equation.")
-    parser.add_argument("mode", choices=MODES)
+    parser.add_argument("mode", choices=_MODES)
     parser.add_argument("--config", type=Path, default=None,
                         help="flat key=value config file (verify defaults to the "
                              "packaged default.cfg)")
@@ -153,69 +190,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--paths", type=int, default=None,
                         help="override ensemble.paths")
     args = parser.parse_args(argv)
-
-    config_path = args.config
-    if config_path is None:
-        if args.mode != "verify":
-            print("error: --config is required for this mode", file=sys.stderr)
-            return 2
-        config_path = _default_config_path()
-    out = args.out if args.out is not None else Path(".")
-
     try:
-        text = config_path.read_text()
-    except OSError as exc:
-        print(f"error: cannot read config {config_path}: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        cfg = parse_config(text)
-        # replace() re-runs SdeConfig's validation on the overridden values
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if args.paths is not None:
-            cfg = replace(cfg, paths=args.paths)
-        constants = compute_constants(cfg)
-    except ConfigurationError as exc:
+        return _run(args)
+    except (ConfigurationError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    checksum = config_checksum(text)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output directory {out}: {exc}", file=sys.stderr)
-        return 2
-
-    # rows of the engine batch each mode runs; verify runs batches of its own
-    rows = {"simulate": 1, "ensemble": min(cfg.paths, _ENSEMBLE_CHUNK),
-            "invariant": _FAMILY_SIZE}.get(args.mode)
-    manifest = RunManifest(mode=args.mode, out_dir=str(out), tool_version=__version__,
-                           config_checksum=checksum, cfg=cfg, constants=constants,
-                           engine=engine_info(rows, constants.grid_shape))
-    try:
-        (out / "run_manifest.json").write_text(manifest.to_json() + "\n")
-    except OSError as exc:
-        print(f"error: cannot write manifest in {out}: {exc}", file=sys.stderr)
-        return 2
-
-    for line in constants.lines():
-        print(line)
-
-    try:
-        if args.mode == "simulate":
-            return _run_simulate(cfg, out, checksum)
-        if args.mode == "ensemble":
-            return _run_ensemble(cfg, out, checksum)
-        if args.mode == "invariant":
-            return _run_invariant(cfg, out, checksum)
-        return _run_verify(cfg, out, checksum)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigurationError) else 1
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ import functools
 import logging
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -129,6 +130,9 @@ class SdeConfig:
                 raise ConfigurationError(f"key {key!r}: expected finite values, got {value}")
         if self.dt <= 0.0:
             raise ConfigurationError("dt must be positive")
+        if -self.beta * self.dt > math.log(sys.float_info.max):   # math.exp would overflow
+            raise ConfigurationError(f"key 'beta': expected exp(-beta dt) finite, got "
+                                     f"beta = {self.beta} with dt = {self.dt}")
         if self.t_final < 0.0:
             raise ConfigurationError("t_final must be non-negative")
         if self.t_final > 0.0 and self.dt > self.t_final:

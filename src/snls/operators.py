@@ -24,7 +24,6 @@ growth and Lipschitz constants used by the damping-threshold report.
 from __future__ import annotations
 
 import ast
-import logging
 import math
 import re
 from dataclasses import dataclass
@@ -34,8 +33,6 @@ import numpy as np
 
 from .spectral import (ConfigurationError, EigenBasis, SpectralField, check_level,
                        h_norm_sq, lp_power, v_norm_sq)
-
-logger = logging.getLogger(__name__)
 
 G_VARIANTS = ("none", "additive", "linear_diagonal", "bounded_nemytskii")
 
@@ -169,9 +166,9 @@ def _eval_profile(expr: str, lam: np.ndarray) -> np.ndarray:
             raise OperatorError(f"unsupported call {node.func.id!r} in B profile {expr!r}")
         raise OperatorError(f"unsupported construct in B profile {expr!r}")
 
-    # Division by zero is allowed to flow through: the caller rejects
-    # non-finite multipliers with a named error.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Division by zero and overflow are allowed to flow through: the caller
+    # rejects non-finite multipliers with a named error.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.asarray(ev(tree), dtype=float) * np.ones_like(lam)
 
 
@@ -306,30 +303,22 @@ def make_noise_G(basis: EigenBasis, variant: str, params: Sequence[float],
     h_sq = h_norm_sq(g)
     v_sq = v_norm_sq(g, basis)
     lp = lp_power(g, basis, alpha + 1.0) ** (1.0 / (alpha + 1.0))
-    # exact: the crest of a mode can fall between grid nodes
-    linf = np.abs(params) * np.array([_eigenmode_sup(basis, j) for j in idx])
-
-    if variant == "additive":
-        return StateNoiseG(variant, g, None,
-                           C1=float(np.sqrt(np.sum(h_sq))),
-                           C1t=0.0,
-                           C2=float(np.sqrt(np.sum(v_sq))),
-                           C2t=0.0,
-                           C3=float(np.sqrt(np.sum(lp ** 2))),
-                           C3t=0.0,
-                           L_G=0.0,
-                           g_grids=g_grids)
-
-    # bounded_nemytskii: |sigma| <= 1 gives the bounded assignment;
-    # the V growth splits into sigma(u) grad g + g sigma'(u) grad u.
+    # additive: G(u)e_m = g_m.  bounded_nemytskii: |sigma| <= SIGMA_BOUND gives
+    # the bounded assignment, and the V growth splits into
+    # sigma(u) grad g + g sigma'(u) grad u
+    bound, lip = 1.0, 0.0
+    if variant == "bounded_nemytskii":
+        # exact: the crest of a mode can fall between grid nodes
+        linf = np.abs(params) * np.array([_eigenmode_sup(basis, j) for j in idx])
+        bound, lip = SIGMA_BOUND, float(SIGMA_LIP * np.sqrt(np.sum(linf ** 2)))
     return StateNoiseG(variant, g, None,
-                       C1=float(SIGMA_BOUND * np.sqrt(np.sum(h_sq))),
+                       C1=float(bound * np.sqrt(np.sum(h_sq))),
                        C1t=0.0,
-                       C2=float(SIGMA_BOUND * np.sqrt(np.sum(v_sq))),
-                       C2t=float(SIGMA_LIP * np.sqrt(np.sum(linf ** 2))),
-                       C3=float(SIGMA_BOUND * np.sqrt(np.sum(lp ** 2))),
+                       C2=float(bound * np.sqrt(np.sum(v_sq))),
+                       C2t=lip,
+                       C3=float(bound * np.sqrt(np.sum(lp ** 2))),
                        C3t=0.0,
-                       L_G=float(SIGMA_LIP * np.sqrt(np.sum(linf ** 2))),
+                       L_G=lip,
                        g_grids=g_grids)
 
 

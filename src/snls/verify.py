@@ -7,6 +7,7 @@ meant to run in seconds, not to replace the test suite.
 
 from __future__ import annotations
 
+import logging
 import math
 from typing import Callable, Dict, List, Tuple
 
@@ -260,7 +261,18 @@ def _chk_support_invariant():
                      g_variant="linear_diagonal", g_params=(0.3,))
     ops = build_operators(cfg)
     u0 = default_initial(ops.basis, 5)       # wider than the level-2 band
-    rec = simulate(cfg, u0, collect_states=True)
+    log, caught = logging.getLogger("snls.dynamics"), []
+
+    def catch(record) -> bool:
+        caught.append(record.getMessage())
+        return False                         # announced here, not on stderr
+    log.addFilter(catch)
+    try:
+        rec = simulate(cfg, u0, collect_states=True)
+    finally:
+        log.removeFilter(catch)
+    if len(caught) != 1 or "level-2 band" not in caught[0]:
+        return float("inf"), 0.0             # the projection must be announced once
     outside = rec.states[:, ~ops.mask]
     return float(np.max(np.abs(outside))) if outside.size else 0.0, 0.0
 
@@ -437,6 +449,8 @@ CHECKS: List[Tuple[str, str, Callable]] = [
     ("config_non_finite_reject", "non-finite reals rejected by key", _chk_reject("dt = nan\n", "key 'dt'")),
     ("config_g_params_reject", "G params checked against the G variant",
      _chk_reject("noise.G.params = 0.3, 0.2\n", "key 'noise.G.params'")),
+    ("config_beta_reject", "damping factor exp(-beta dt) stays finite",
+     _chk_reject("beta = -1e6\ndt = 1e-3\n", "key 'beta'")),
 ]
 
 

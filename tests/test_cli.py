@@ -220,7 +220,10 @@ def test_config_errors_exit_2_with_stderr(tmp_path, capsys):
 def test_non_finite_and_off_rule_values_exit_2_without_a_traceback(tmp_path, capsys):
     cases = ["dt = nan", "t_final = inf", "t_final = 1e300\ndt = 1e-10", "alpha = inf",
              "beta = nan", "noise.G.variant = linear_diagonal\nnoise.G.params = nan",
-             "domain.modes_per_axis = 1", "domain.modes_per_axis = 15"]
+             "domain.modes_per_axis = 1", "domain.modes_per_axis = 15",
+             "beta = -1e6",           # exp(-beta dt) overflows at the default dt = 1e-3
+             "noise.B.count = 1\nnoise.B.1.profile = 1e308*10",
+             "noise.B.count = 1\nnoise.B.1.profile = exp(1000)"]
     for text in cases:
         cfg = _write_cfg(tmp_path, text + "\n")
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -297,6 +300,7 @@ def test_blow_up_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("mode, name", [("simulate", "trajectory.csv"),
+                                        ("simulate", "run_manifest.json"),
                                         ("verify", "verify.json-lines")])
 def test_an_output_name_taken_by_a_directory_exits_1(tmp_path, capsys, monkeypatch, mode, name):
     monkeypatch.setattr("snls.verify.run_verify", lambda: ([], 0))   # the battery is not under test
@@ -332,9 +336,27 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
 
 
 def test_verify_formats_the_projection_warning(tmp_path):
+    # a datum two levels wider than the level-4 band of BASE_CFG is projected with a warning
+    code = ("import sys\n"
+            "import snls.cli as cli\n"
+            "from snls.dynamics import default_initial\n"
+            "from snls.spectral import make_basis\n"
+            "cli._build_initial = lambda cfg: default_initial(make_basis(\n"
+            "    cfg.domain_kind, cfg.modes_per_axis, cfg.oversample), cfg.galerkin_level + 2)\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    cfg = _write_cfg(tmp_path, BASE_CFG)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "simulate", "--config", str(cfg),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "warning: snls.dynamics: initial data has support outside the level-4 band; projecting"]
+
+
+def test_a_clean_verify_writes_nothing_to_stderr(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "snls.cli", "verify", "--out", str(tmp_path / "v")],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert ("warning: snls.dynamics: initial data has support outside the level-2 band; "
-            "projecting") in proc.stderr.splitlines()
+    assert proc.stderr == ""

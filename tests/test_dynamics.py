@@ -71,6 +71,7 @@ def test_validated_rejects_bad_knobs():
         (dict(paths=0), "paths"),
         (dict(seed=-1), "seed"),
         (dict(burn_in_fraction=1.0), "burn_in"),
+        (dict(beta=-1e6), "key 'beta'"),            # exp(-beta dt) overflows at dt = 1e-3
     ]
     for kw, needle in cases:
         with pytest.raises(ConfigurationError, match=needle):
