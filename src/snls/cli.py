@@ -18,24 +18,11 @@ import numpy as np
 
 from . import __version__
 from .spectral import make_basis
-from .dynamics import (
-    _ENSEMBLE_CHUNK,
-    ConfigurationError,
-    OBSERVABLE_NAMES,
-    default_initial,
-    default_initial_family,
-    engine_info,
-    simulate,
-    simulate_ensemble,
-)
+from .dynamics import (_ENSEMBLE_CHUNK, ConfigurationError, OBSERVABLE_NAMES, default_initial,
+                       default_initial_family, engine_info, simulate, simulate_ensemble)
 from .observables import supermartingale_trace
 from .ergodicity import invariant_fingerprint, min_mass_1, radius_indicator, tanh_v_norm_sq
-from .config import (
-    RunManifest,
-    compute_constants,
-    config_checksum,
-    parse_config,
-)
+from .config import RunManifest, compute_constants, config_checksum, parse_config
 
 _TRAJ_COLUMNS = ("t",) + OBSERVABLE_NAMES
 _FAMILY_SIZE = 3    # initial data of the invariant fingerprint, one batch row each
@@ -144,8 +131,9 @@ def _run(args) -> int:
             raise ConfigurationError("--config is required for this mode")
         config_path = _default_config_path()
     try:
-        text = config_path.read_text()
-    except OSError as exc:
+        data = config_path.read_bytes()
+        text = data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {config_path}: {exc}") from exc
     cfg = parse_config(text)
     # replace() re-runs SdeConfig's validation on the overridden values
@@ -154,7 +142,7 @@ def _run(args) -> int:
     if args.paths is not None:
         cfg = replace(cfg, paths=args.paths)
     constants = compute_constants(cfg)
-    checksum = config_checksum(text)
+    checksum = config_checksum(data)
     out = args.out if args.out is not None else Path(".")
     try:
         out.mkdir(parents=True, exist_ok=True)

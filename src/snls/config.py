@@ -1,8 +1,9 @@
 """Flat key=value configuration: parsing, validation, constants echo, checksum.
 
 One `key = value` pair per line, `#` starts a comment, keys are dotted paths.
-Unknown keys, duplicate keys (reported with line numbers), unparsable values,
-and violated invariants are all hard errors naming the key and constraint.
+Unknown keys and duplicate keys are reported with line numbers; an unparsable
+or off-rule value as `key '<key>': expected <rule>, got <value>`, with the
+rule of its row in dynamics.CONFIG_KEYS.
 """
 
 from __future__ import annotations
@@ -11,67 +12,30 @@ import hashlib
 import json
 import platform
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Tuple, Union
 
 import numpy as np
 # the manifest records its version; perfbench/worker.py also reads
 # sys.modules["scipy"] without importing it, so `import snls` must load it
 import scipy
 
-from .spectral import BASIS_KINDS
-from .operators import G_VARIANTS
-from .dynamics import SCHEMES, ConfigurationError, SdeConfig, build_operators
+from .spectral import rejection
+from .dynamics import CONFIG_KEYS, ConfigurationError, SdeConfig, build_operators
+
+_ROWS = {row.key: row for row in CONFIG_KEYS}
 
 
 class ConfigError(ConfigurationError):
     pass
 
 
-def _parse_bool(s: str) -> bool:
-    low = s.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError("expected a boolean (true/false)")
-
-
-def _parse_floats(s: str) -> Tuple[float, ...]:
-    s = s.strip()
-    if not s:
-        return ()
-    return tuple(float(part) for part in s.split(","))
-
-
-# key -> (config field, parser, constraint text or None)
-_SCALAR_KEYS = {
-    "domain.kind": ("domain_kind", str.strip, f"one of {BASIS_KINDS}"),
-    "domain.modes_per_axis": ("modes_per_axis", int, "an integer >= 2, even on tori"),
-    "domain.oversample": ("oversample", int, "an integer >= 2"),
-    "galerkin.level": ("galerkin_level", int, "a non-negative integer"),
-    "alpha": ("alpha", float, "a real exceeding 1"),
-    "beta": ("beta", float, "a real"),
-    "scheme": ("scheme", str.strip, f"one of {SCHEMES}"),
-    "dt": ("dt", float, "a positive real"),
-    "t_final": ("t_final", float, "a non-negative real"),
-    "snapshot_stride": ("snapshot_stride", int, "an integer >= 1"),
-    "seed": ("seed", int, "a non-negative integer"),
-    "ensemble.paths": ("paths", int, "an integer >= 1"),
-    "nonlinearity.enabled": ("nonlinearity_enabled", _parse_bool, "true or false"),
-    "noise.G.variant": ("g_variant", str.strip, f"one of {G_VARIANTS}"),
-    "noise.G.params": ("g_params", _parse_floats, "comma-separated reals"),
-    "run.burn_in_fraction": ("burn_in_fraction", float, "a real in [0, 1)"),
-    "run.radii": ("radii", _parse_floats, "ascending non-negative comma-separated reals"),
-    "run.lambda": ("smg_lambda", float, "a real"),
-}
-
-
-def config_checksum(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def config_checksum(data: Union[str, bytes]) -> str:
+    """sha256 of the config bytes (a str is taken as its UTF-8 encoding)."""
+    return hashlib.sha256(data.encode("utf-8") if isinstance(data, str) else data).hexdigest()
 
 
 def parse_config(text: str) -> SdeConfig:
-    """Parse and validate; raises ConfigError naming the offending key/line."""
+    """Parse by the rows of CONFIG_KEYS, then validate; a rejection names its key or line."""
     seen_lines: Dict[str, int] = {}
     fields: Dict[str, object] = {}
     profiles: Dict[int, str] = {}
@@ -90,28 +54,28 @@ def parse_config(text: str) -> SdeConfig:
                               f"(first set at line {seen_lines[key]})")
         seen_lines[key] = lineno
 
-        if key == "noise.B.count":
-            try:
-                b_count = int(value)
-            except ValueError:
-                raise ConfigError(f"key 'noise.B.count': expected an integer, got {value!r}")
-            if b_count < 0:
-                raise ConfigError("key 'noise.B.count': must be non-negative")
-            continue
+        name = key
         if key.startswith("noise.B.") and key.endswith(".profile"):
             mid = key[len("noise.B."):-len(".profile")]
             if not mid.isdigit() or int(mid) < 1:
                 raise ConfigError(f"line {lineno}: malformed key {key!r}; "
                                   "expected noise.B.<m>.profile with m >= 1")
-            profiles[int(mid)] = value
-            continue
-        if key not in _SCALAR_KEYS:
+            name = "noise.B.<m>.profile"
+        row = _ROWS.get(name)
+        if row is None:
             raise ConfigError(f"unknown config key {key!r} at line {lineno}")
-        field, parser, constraint = _SCALAR_KEYS[key]
         try:
-            fields[field] = parser(value)
+            parsed = row.parse(value)
+            if name == "noise.B.count" and parsed < 0:
+                raise ValueError(value)
         except ValueError:
-            raise ConfigError(f"key {key!r}: expected {constraint}, got {value!r}")
+            raise ConfigError(rejection(key, row.rule, value)) from None
+        if name == "noise.B.count":
+            b_count = parsed
+        elif name == "noise.B.<m>.profile":
+            profiles[int(mid)] = parsed
+        else:
+            fields[row.field] = parsed
 
     for m in profiles:
         if m > b_count:

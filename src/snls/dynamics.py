@@ -29,27 +29,19 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from collections import namedtuple
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import spectral
-from .spectral import (BASIS_KINDS, ConfigurationError, EigenBasis, SpectralField,
-                       check_box, check_level, make_basis, v_norm_sq)
-from .operators import (
-    G_VARIANTS,
-    LinearNoiseB,
-    StateNoiseG,
-    _check_alpha,
-    f_pointwise,
-    hs_norm_sq_batch,
-    make_noise_B,
-    make_noise_G,
-    sharp_projector,
-    sigma_saturating,
-    smoothed_projector,
-    stratonovich_correction,
-)
+from .spectral import (KIND_RULE, LEVEL_RULE, MODES_RULE, OVERSAMPLE_RULE, ConfigurationError,
+                       EigenBasis, SpectralField, check_box, check_level, make_basis,
+                       rejection, v_norm_sq)
+from .operators import (ALPHA_RULE, B_PROFILE_RULE, G_PARAMS_RULE, G_VARIANT_RULE,
+                        LinearNoiseB, StateNoiseG, _check_alpha, check_g, f_pointwise,
+                        hs_norm_sq_batch, make_noise_B, make_noise_G, sharp_projector,
+                        sigma_saturating, smoothed_projector, stratonovich_correction)
 
 logger = logging.getLogger(__name__)
 
@@ -63,10 +55,7 @@ _ENSEMBLE_CHUNK = 2048    # paths simulate_ensemble integrates together
 # rows x grid points of a step per engine thread: on a 2-core VM a 2-way split
 # of the steppers lost below about 16k and won above it
 _THREAD_WORK = 8192
-# config key of each real-valued SdeConfig field but alpha, which _check_alpha covers
-_REAL_KEYS = {"beta": "beta", "dt": "dt", "t_final": "t_final",
-              "g_params": "noise.G.params", "burn_in_fraction": "run.burn_in_fraction",
-              "radii": "run.radii", "smg_lambda": "run.lambda"}
+_LOG_MAX = math.log(sys.float_info.max)    # math.exp overflows above it
 
 
 class BlowUpError(RuntimeError):
@@ -110,58 +99,75 @@ class SdeConfig:
         self.validated()
 
     def validated(self) -> "SdeConfig":
-        """Check every knob; runs once, when the config is constructed."""
-        if self.domain_kind not in BASIS_KINDS:
-            raise ConfigurationError(f"key 'domain.kind': expected one of {BASIS_KINDS}, "
-                                     f"got {self.domain_kind!r}")
-        if self.g_variant not in G_VARIANTS:
-            raise ConfigurationError(f"key 'noise.G.variant': expected one of {G_VARIANTS}, "
-                                     f"got {self.g_variant!r}")
-        if self.g_variant == "none" and self.g_params:
-            raise ConfigurationError(f"key 'noise.G.params': G variant 'none' takes no "
-                                     f"parameters, got {self.g_params}")
-        if self.g_variant != "none" and not self.g_params:
-            raise ConfigurationError(f"key 'noise.G.params': G variant {self.g_variant!r} "
-                                     f"needs at least one parameter")
-        _check_alpha(self.alpha)
-        for name, key in _REAL_KEYS.items():
-            value = getattr(self, name)
-            if value is not None and not np.all(np.isfinite(value)):
-                raise ConfigurationError(f"key {key!r}: expected finite values, got {value}")
-        if self.dt <= 0.0:
-            raise ConfigurationError("dt must be positive")
-        if -self.beta * self.dt > math.log(sys.float_info.max):   # math.exp would overflow
-            raise ConfigurationError(f"key 'beta': expected exp(-beta dt) finite, got "
-                                     f"beta = {self.beta} with dt = {self.dt}")
-        if self.t_final < 0.0:
-            raise ConfigurationError("t_final must be non-negative")
-        if self.t_final > 0.0 and self.dt > self.t_final:
-            raise ConfigurationError("dt must not exceed t_final")
-        ratio = self.t_final / self.dt
-        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-6 * max(1.0, ratio):
-            raise ConfigurationError("t_final must be an integer multiple of dt")
-        check_level(self.galerkin_level)
-        if self.scheme not in SCHEMES:
-            raise ConfigurationError(f"scheme must be one of {SCHEMES}")
-        if self.snapshot_stride < 1:
-            raise ConfigurationError("snapshot_stride must be at least 1")
-        if self.paths < 1:
-            raise ConfigurationError("ensemble.paths must be at least 1")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be a non-negative integer")
-        if not (0.0 <= self.burn_in_fraction < 1.0):
-            raise ConfigurationError("run.burn_in_fraction must lie in [0, 1)")
-        if any(r < 0.0 for r in self.radii):
-            raise ConfigurationError(f"key 'run.radii': radii must be non-negative, "
-                                     f"got {self.radii}")
-        if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
-            raise ConfigurationError("key 'run.radii': radii must be strictly ascending")
+        """Check every knob by the rules of CONFIG_KEYS; runs once, at construction."""
         check_box(self.domain_kind, self.modes_per_axis, self.oversample)
+        check_level(self.galerkin_level)
+        _check_alpha(self.alpha)
+        check_g(self.g_variant, self.g_params)
+        for row in CONFIG_KEYS:
+            value = getattr(self, row.field)
+            # every real a parser reads must be finite
+            if ((row.parse in (float, _parse_floats) and value is not None
+                 and not np.all(np.isfinite(value)))
+                    or (row.holds is not None and not row.holds(value, self))):
+                raise ConfigurationError(rejection(row.key, row.rule, value))
         return self
 
     @property
     def n_steps(self) -> int:
         return round(self.t_final / self.dt)
+
+
+def _parse_bool(s: str) -> bool:      # ValueError for any other word
+    return ("false", "no", "off", "0", "true", "yes", "on", "1").index(s.lower()) >= 4
+
+
+def _parse_floats(s: str) -> Tuple[float, ...]:
+    return tuple(float(part) for part in s.split(",")) if s.strip() else ()
+
+
+def _on_the_step_grid(t_final: float, cfg: SdeConfig) -> bool:
+    ratio = t_final / cfg.dt
+    return ((t_final == 0.0 or cfg.dt <= t_final) and math.isfinite(ratio)
+            and abs(ratio - round(ratio)) <= 1e-6 * max(1.0, ratio))
+
+
+# A config key, the SdeConfig field it sets, the parser of its written value, the
+# rule every rejection of it states, and holds(value, cfg), the test of that rule;
+# holds is None where the parser, the finiteness of the reals it reads or a lower
+# layer's helper states the whole rule.
+ConfigKey = namedtuple("ConfigKey", "key field parse rule holds", defaults=(None,))
+
+# The one table of config keys, in the order SdeConfig.validated checks them after
+# the helpers. The two B keys give b_profiles: parse_config checks the count and
+# make_noise_B the profiles.
+CONFIG_KEYS = (
+    ConfigKey("domain.kind", "domain_kind", str.strip, KIND_RULE),
+    ConfigKey("domain.modes_per_axis", "modes_per_axis", int, MODES_RULE),
+    ConfigKey("domain.oversample", "oversample", int, OVERSAMPLE_RULE),
+    ConfigKey("galerkin.level", "galerkin_level", int, LEVEL_RULE),
+    ConfigKey("alpha", "alpha", float, ALPHA_RULE),
+    ConfigKey("dt", "dt", float, "a finite positive real", lambda v, c: v > 0.0),
+    ConfigKey("t_final", "t_final", float, "0 or a positive integer multiple of dt",
+              _on_the_step_grid),
+    ConfigKey("beta", "beta", float, "a finite real with exp(-beta dt) finite",
+              lambda v, c: -v * c.dt <= _LOG_MAX),
+    ConfigKey("scheme", "scheme", str.strip, f"one of {SCHEMES}", lambda v, c: v in SCHEMES),
+    ConfigKey("snapshot_stride", "snapshot_stride", int, "an integer >= 1", lambda v, c: v >= 1),
+    ConfigKey("seed", "seed", int, "a non-negative integer", lambda v, c: v >= 0),
+    ConfigKey("ensemble.paths", "paths", int, "an integer >= 1", lambda v, c: v >= 1),
+    ConfigKey("nonlinearity.enabled", "nonlinearity_enabled", _parse_bool, "true or false"),
+    ConfigKey("noise.B.count", "b_profiles", int, "a non-negative integer"),
+    ConfigKey("noise.B.<m>.profile", "b_profiles", str.strip, B_PROFILE_RULE),
+    ConfigKey("noise.G.variant", "g_variant", str.strip, G_VARIANT_RULE),
+    ConfigKey("noise.G.params", "g_params", _parse_floats, G_PARAMS_RULE),
+    ConfigKey("run.burn_in_fraction", "burn_in_fraction", float, "a real in [0, 1)",
+              lambda v, c: 0.0 <= v < 1.0),
+    ConfigKey("run.radii", "radii", _parse_floats,
+              "strictly ascending non-negative finite reals, comma-separated",
+              lambda v, c: not v or (v[0] >= 0.0 and all(a < b for a, b in zip(v, v[1:])))),
+    ConfigKey("run.lambda", "smg_lambda", float, "a finite real"),
+)
 
 
 @dataclass(frozen=True)

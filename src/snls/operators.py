@@ -27,14 +27,21 @@ import ast
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .spectral import (ConfigurationError, EigenBasis, SpectralField, check_level,
-                       h_norm_sq, lp_power, v_norm_sq)
+                       h_norm_sq, lp_power, rejection, v_norm_sq)
 
 G_VARIANTS = ("none", "additive", "linear_diagonal", "bounded_nemytskii")
+ALPHA_RULE = "a finite real exceeding 1"
+B_PROFILE_RULE = ("an expression in numbers, lambda, + - * / ** ^, parentheses, sqrt and "
+                  "exp, with finite multipliers and squared noise constants")
+G_VARIANT_RULE = f"one of {G_VARIANTS}"
+G_PARAMS_RULE = ("comma-separated reals, none for G variant 'none' and at least one for the "
+                 "others (at most one per stored mode for additive and bounded_nemytskii), "
+                 "with finite squared noise constants")
 
 
 class OperatorError(ConfigurationError):
@@ -92,7 +99,7 @@ def smoothed_projector(n: int, basis: EigenBasis) -> np.ndarray:
 
 def _check_alpha(alpha: float) -> None:
     if not (alpha > 1.0 and np.isfinite(alpha)):
-        raise OperatorError(f"alpha must exceed 1, got {alpha}")
+        raise OperatorError(rejection("alpha", ALPHA_RULE, alpha))
 
 
 def f_pointwise(values: np.ndarray, alpha: float) -> np.ndarray:
@@ -131,15 +138,15 @@ def _eval_profile(expr: str, lam: np.ndarray) -> np.ndarray:
     """Evaluate a multiplier profile such as `0.2/(1+lambda)` on the S-spectrum.
 
     Tiny arithmetic grammar: numbers, lambda, + - * / ** (or ^), parentheses,
-    sqrt and exp. Anything else is rejected with the offending construct
-    named and the profile quoted as written.
+    sqrt and exp. Anything else raises an OperatorError naming the offending
+    construct; make_noise_B quotes it with the key and the profile as written.
     """
     src = re.sub(r"\blambda\b", _LAMBDA, expr).replace("^", "**")
     written = set(re.findall(r"\w+", expr))
     try:
         tree = ast.parse(src, mode="eval")
     except SyntaxError as e:
-        raise OperatorError(f"unparsable B profile {expr!r}: {e.msg}") from None
+        raise OperatorError(f"unparsable: {e.msg}") from None
 
     def ev(node):
         if isinstance(node, ast.Expression):
@@ -149,13 +156,13 @@ def _eval_profile(expr: str, lam: np.ndarray) -> np.ndarray:
         if isinstance(node, ast.Name):
             if node.id == _LAMBDA and _LAMBDA not in written:
                 return lam
-            raise OperatorError(f"unknown name {node.id!r} in B profile {expr!r}")
+            raise OperatorError(f"unknown name {node.id!r}")
         if isinstance(node, ast.BinOp):
             ops = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
                    ast.Div: np.divide, ast.Pow: np.power}
             fn = ops.get(type(node.op))
             if fn is None:
-                raise OperatorError(f"unsupported operator in B profile {expr!r}")
+                raise OperatorError("unsupported operator")
             return fn(ev(node.left), ev(node.right))
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
             v = ev(node.operand)
@@ -163,11 +170,11 @@ def _eval_profile(expr: str, lam: np.ndarray) -> np.ndarray:
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             if node.func.id in _ALLOWED_FUNCS and len(node.args) == 1 and not node.keywords:
                 return _ALLOWED_FUNCS[node.func.id](ev(node.args[0]))
-            raise OperatorError(f"unsupported call {node.func.id!r} in B profile {expr!r}")
-        raise OperatorError(f"unsupported construct in B profile {expr!r}")
+            raise OperatorError(f"unsupported call {node.func.id!r}")
+        raise OperatorError("unsupported construct")
 
     # Division by zero and overflow are allowed to flow through: the caller
-    # rejects non-finite multipliers with a named error.
+    # rejects non-finite multipliers.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.asarray(ev(tree), dtype=float) * np.ones_like(lam)
 
@@ -191,15 +198,21 @@ def make_noise_B(basis: EigenBasis, profiles: Sequence[str]) -> LinearNoiseB:
     lp_bound_sq = 0.0
     # Schur/Young kernel constant: 1 on the torus, 2^{d/2} on the boxes
     kappa = 1.0 if basis.kind.startswith("torus") else 2.0 ** (basis.dim / 2.0)
-    for p in profiles:
-        b = _eval_profile(p, lam)
-        if not np.all(np.isfinite(b)):
-            raise OperatorError(f"B profile {p!r} produced a non-finite multiplier")
+    for m, p in enumerate(profiles, start=1):
+        try:
+            b = _eval_profile(p, lam)
+            # the bound is at least every b^2: finite only when they and the multipliers are
+            with np.errstate(over="ignore", invalid="ignore"):
+                if np.ptp(b) == 0.0:
+                    lp_bound_sq += float(b[0] ** 2)          # constant symbol: exact norm |c|
+                else:
+                    lp_bound_sq += float(kappa ** 2 * np.sum(b ** 2))
+            if not math.isfinite(lp_bound_sq):
+                raise OperatorError("a non-finite multiplier or constant")
+        except OperatorError as exc:
+            raise OperatorError(f"{rejection(f'noise.B.{m}.profile', B_PROFILE_RULE, p)} "
+                                f"({exc})") from None
         mults.append(b)
-        if np.ptp(b) == 0.0:
-            lp_bound_sq += float(b[0] ** 2)          # constant symbol: exact norm |c|
-        else:
-            lp_bound_sq += float(kappa ** 2 * np.sum(b ** 2))
     mult = np.array(mults).reshape(len(profiles), basis.n_modes)
     return LinearNoiseB(
         multipliers=mult,
@@ -257,13 +270,12 @@ class StateNoiseG:
         return self.g_coeffs.shape[0]
 
 
-def _lowest_modes(basis: EigenBasis, count: int) -> np.ndarray:
-    """Indices of the count lowest modes by (s_k, position); deterministic."""
-    if count > basis.n_modes:
-        raise OperatorError(f"{count} noise modes requested but the basis has "
-                            f"only {basis.n_modes}")
+def _lowest_modes(basis: EigenBasis, params: Tuple[float, ...]) -> np.ndarray:
+    """Indices of the lowest modes by (s_k, position), one per parameter; deterministic."""
+    if len(params) > basis.n_modes:
+        raise OperatorError(rejection("noise.G.params", G_PARAMS_RULE, params))
     order = np.lexsort((np.arange(basis.n_modes), basis.s_eigs))
-    return order[:count]
+    return order[:len(params)]
 
 
 def _eigenmode_sup(basis: EigenBasis, j: int) -> float:
@@ -274,6 +286,14 @@ def _eigenmode_sup(basis: EigenBasis, j: int) -> float:
                      for k, ax in zip(basis.mode_index_set[j], basis.axes))
 
 
+def check_g(variant: str, params: Sequence[float]) -> None:
+    """The G rules of make_noise_G and the config: a known variant, params iff it takes any."""
+    if variant not in G_VARIANTS:
+        raise OperatorError(rejection("noise.G.variant", G_VARIANT_RULE, variant))
+    if (variant == "none") != (len(params) == 0):
+        raise OperatorError(rejection("noise.G.params", G_PARAMS_RULE, tuple(params)))
+
+
 def make_noise_G(basis: EigenBasis, variant: str, params: Sequence[float],
                  alpha: float) -> StateNoiseG:
     """Build a G variant with its constants.
@@ -282,44 +302,38 @@ def make_noise_G(basis: EigenBasis, variant: str, params: Sequence[float],
     linear_diagonal:   params = scalar gammas, G(u)e_m = gamma_m * u
     bounded_nemytskii: params = amplitudes; G(u)e_m = g_m * sigma(u) pointwise
     """
-    if variant not in G_VARIANTS:
-        raise OperatorError(f"unknown G variant {variant!r}; expected one of {G_VARIANTS}")
+    check_g(variant, params)
     if variant == "none":
         return StateNoiseG("none", None, None, 0, 0, 0, 0, 0, 0, 0)
-    if len(params) == 0:
-        raise OperatorError(f"G variant {variant!r} needs at least one parameter")
     params = tuple(float(p) for p in params)
-
-    if variant == "linear_diagonal":
-        gam = np.array(params)
-        c1t = float(np.sqrt(np.sum(gam ** 2)))
-        return StateNoiseG(variant, None, gam,
-                           C1=0.0, C1t=c1t, C2=0.0, C2t=c1t, C3=0.0, C3t=c1t, L_G=c1t)
-
-    idx = _lowest_modes(basis, len(params))
-    g = np.zeros((len(params), basis.n_modes), dtype=np.complex128)
-    g[np.arange(len(params)), idx] = params
-    g_grids = basis.synthesize(g)
-    h_sq = h_norm_sq(g)
-    v_sq = v_norm_sq(g, basis)
-    lp = lp_power(g, basis, alpha + 1.0) ** (1.0 / (alpha + 1.0))
-    # additive: G(u)e_m = g_m.  bounded_nemytskii: |sigma| <= SIGMA_BOUND gives
-    # the bounded assignment, and the V growth splits into
-    # sigma(u) grad g + g sigma'(u) grad u
-    bound, lip = 1.0, 0.0
-    if variant == "bounded_nemytskii":
-        # exact: the crest of a mode can fall between grid nodes
-        linf = np.abs(params) * np.array([_eigenmode_sup(basis, j) for j in idx])
-        bound, lip = SIGMA_BOUND, float(SIGMA_LIP * np.sqrt(np.sum(linf ** 2)))
-    return StateNoiseG(variant, g, None,
-                       C1=float(bound * np.sqrt(np.sum(h_sq))),
-                       C1t=0.0,
-                       C2=float(bound * np.sqrt(np.sum(v_sq))),
-                       C2t=lip,
-                       C3=float(bound * np.sqrt(np.sum(lp ** 2))),
-                       C3t=0.0,
-                       L_G=lip,
-                       g_grids=g_grids)
+    g = gam = g_grids = None
+    # an overflow runs through to a non-finite constant, which is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if variant == "linear_diagonal":
+            gam = np.array(params)
+            c1t = float(np.sqrt(np.sum(gam ** 2)))
+            consts = dict(C1=0.0, C1t=c1t, C2=0.0, C2t=c1t, C3=0.0, C3t=c1t, L_G=c1t)
+        else:
+            idx = _lowest_modes(basis, params)
+            g = np.zeros((len(params), basis.n_modes), dtype=np.complex128)
+            g[np.arange(len(params)), idx] = params
+            g_grids = basis.synthesize(g)
+            lp = lp_power(g, basis, alpha + 1.0) ** (1.0 / (alpha + 1.0))
+            # additive: G(u)e_m = g_m.  bounded_nemytskii: |sigma| <= SIGMA_BOUND gives
+            # the bounded assignment, and the V growth splits into
+            # sigma(u) grad g + g sigma'(u) grad u
+            bound, lip = 1.0, 0.0
+            if variant == "bounded_nemytskii":
+                # exact: the crest of a mode can fall between grid nodes
+                linf = np.abs(params) * np.array([_eigenmode_sup(basis, j) for j in idx])
+                bound, lip = SIGMA_BOUND, float(SIGMA_LIP * np.sqrt(np.sum(linf ** 2)))
+            consts = dict(C1=float(bound * np.sqrt(np.sum(h_norm_sq(g)))), C1t=0.0,
+                          C2=float(bound * np.sqrt(np.sum(v_norm_sq(g, basis)))), C2t=lip,
+                          C3=float(bound * np.sqrt(np.sum(lp ** 2))), C3t=0.0, L_G=lip)
+        finite = np.all(np.isfinite(np.square(list(consts.values()))))
+    if not finite:
+        raise OperatorError(rejection("noise.G.params", G_PARAMS_RULE, params))
+    return StateNoiseG(variant, g, gam, g_grids=g_grids, **consts)
 
 
 def g_fields_batch(coeffs: np.ndarray, G: StateNoiseG, basis: EigenBasis) -> np.ndarray:

@@ -48,21 +48,33 @@ class BasisError(ConfigurationError):
     pass
 
 
+KIND_RULE = f"one of {BASIS_KINDS}"
+MODES_RULE = "an integer >= 2, even on tori"
+OVERSAMPLE_RULE = "an integer >= 2"
+LEVEL_RULE = "an integer in [0, 1022]"     # the band edge 2^(n+1) is a finite double
+
+
+def rejection(key: str, rule: str, value) -> str:
+    """The one wording of a rejected config value: its key, its rule and the value."""
+    return f"key {key!r}: expected {rule}, got {value!r}"
+
+
 def check_level(level: int) -> None:
-    """The Galerkin level rule, n >= 0, for every layer that takes a level."""
-    if level < 0:
-        raise BasisError(f"galerkin.level must be non-negative, got {level}")
+    """The Galerkin level rule for every layer that takes a level."""
+    if not 0 <= level <= 1022:
+        raise BasisError(rejection("galerkin.level", LEVEL_RULE, level))
 
 
 def check_box(kind: str, modes_per_axis: int, oversample: int) -> None:
-    """The stored-box rules, for every layer that takes a box: at least 2 modes
-    per axis, an even count on tori (k = -M/2 .. M/2-1), and oversample >= 2
-    (the Lp quadrature contract)."""
+    """The stored-box rules for every layer that takes a box: a known kind, at
+    least 2 modes per axis, an even count on tori (k = -M/2 .. M/2-1), and
+    oversample >= 2 (the Lp quadrature contract)."""
+    if kind not in BASIS_KINDS:
+        raise BasisError(rejection("domain.kind", KIND_RULE, kind))
     if modes_per_axis < 2 or (kind.startswith("torus") and modes_per_axis % 2):
-        raise BasisError("key 'domain.modes_per_axis': must be at least 2, "
-                         f"and even on tori, got {modes_per_axis}")
+        raise BasisError(rejection("domain.modes_per_axis", MODES_RULE, modes_per_axis))
     if oversample < 2:
-        raise BasisError(f"key 'domain.oversample': must be an integer >= 2, got {oversample}")
+        raise BasisError(rejection("domain.oversample", OVERSAMPLE_RULE, oversample))
 
 
 @dataclass(frozen=True)
@@ -220,8 +232,6 @@ def make_basis(kind: str, modes_per_axis: int, oversample: int = 2,
     """The stored box of modes_per_axis modes per axis, on the grid that
     dealiases products of 2 * oversample - 1 fields of the band s_k < 2^(level+1)
     (the whole box when level is None)."""
-    if kind not in BASIS_KINDS:
-        raise BasisError(f"unknown basis kind {kind!r}; expected one of {BASIS_KINDS}")
     check_box(kind, modes_per_axis, oversample)
     if level is not None:
         check_level(level)

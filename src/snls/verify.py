@@ -17,8 +17,8 @@ from .spectral import (BASIS_KINDS, SpectralField, apply_frac_power, h_norm_sq,
                        lp_power, make_basis, v_norm_sq)
 from .operators import (antiderivative_F, apply_F, hs_norm_sq_batch, make_noise_B,
                         make_noise_G, rho, smoothed_projector, stratonovich_correction)
-from .dynamics import (BLOWUP_V_NORM, BlowUpError, ConfigurationError, SdeConfig,
-                       build_operators, default_initial, simulate, simulate_ensemble,
+from .dynamics import (BLOWUP_V_NORM, CONFIG_KEYS, BlowUpError, ConfigurationError,
+                       SdeConfig, build_operators, default_initial, simulate, simulate_ensemble,
                        state_functionals)
 from .observables import contraction_diagnostic, mass_budget_residual, supermartingale_trace
 from .ergodicity import decay_rate_fit, min_mass_1, radius_indicator, time_average
@@ -403,6 +403,21 @@ def _chk_reject(text: str, needle: str, error=ConfigurationError):
     return run
 
 
+def _chk_key_table():
+    # "nan" breaks every key's parser or rule: the rejection states key, rule and value
+    missed = 0
+    for row in CONFIG_KEYS:
+        key = row.key.replace("<m>", "1")
+        try:
+            build_operators(parse_config("noise.B.count = 1\n" * (key != row.key) + f"{key} = nan"))
+        except ConfigurationError as exc:
+            head, _, got = str(exc).partition(", got ")
+            missed += head != f"key {key!r}: expected {row.rule}" or "nan" not in got
+        else:
+            missed += 1
+    return float(missed), 0.0
+
+
 CHECKS: List[Tuple[str, str, Callable]] = [
     ("transform_roundtrip_torus1d", "orthonormal eigenbasis transform pair", _chk_roundtrip("torus1d")),
     ("transform_roundtrip_dirichlet1d", "orthonormal eigenbasis transform pair", _chk_roundtrip("dirichlet1d")),
@@ -445,12 +460,14 @@ CHECKS: List[Tuple[str, str, Callable]] = [
     ("config_checksum_sensitivity", "checksum tracks config bytes", _chk_checksum_sensitivity),
     ("config_duplicate_key", "duplicate keys rejected with line numbers",
      _chk_reject("alpha = 3\nalpha = 2\n", "line", ConfigError)),
-    ("config_alpha_reject", "alpha constraint enforced", _chk_reject("alpha = 0.5\n", "alpha must exceed 1")),
+    ("config_alpha_reject", "alpha constraint enforced",
+     _chk_reject("alpha = 0.5\n", "key 'alpha': expected a finite real exceeding 1")),
     ("config_non_finite_reject", "non-finite reals rejected by key", _chk_reject("dt = nan\n", "key 'dt'")),
     ("config_g_params_reject", "G params checked against the G variant",
      _chk_reject("noise.G.params = 0.3, 0.2\n", "key 'noise.G.params'")),
     ("config_beta_reject", "damping factor exp(-beta dt) stays finite",
      _chk_reject("beta = -1e6\ndt = 1e-3\n", "key 'beta'")),
+    ("config_key_table", "every config key rejects as key, rule and value", _chk_key_table),
 ]
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI runs: output contracts, overrides, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -223,13 +224,35 @@ def test_non_finite_and_off_rule_values_exit_2_without_a_traceback(tmp_path, cap
              "domain.modes_per_axis = 1", "domain.modes_per_axis = 15",
              "beta = -1e6",           # exp(-beta dt) overflows at the default dt = 1e-3
              "noise.B.count = 1\nnoise.B.1.profile = 1e308*10",
-             "noise.B.count = 1\nnoise.B.1.profile = exp(1000)"]
+             "noise.B.count = 1\nnoise.B.1.profile = exp(1000)",
+             # 2^(n+1) overflows a double above level 1022
+             "galerkin.level = 1023", "galerkin.level = 1030", "galerkin.level = 2000",
+             # finite amplitudes whose squared noise constants overflow
+             "noise.B.count = 1\nnoise.B.1.profile = 1e200",
+             "noise.G.variant = additive\nnoise.G.params = 1e200",
+             "noise.G.variant = linear_diagonal\nnoise.G.params = 1e200",
+             "noise.G.variant = bounded_nemytskii\nnoise.G.params = 1e200",
+             b"# not UTF-8: \xff\xfe\nalpha = 3"]
     for text in cases:
-        cfg = _write_cfg(tmp_path, text + "\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(text + b"\n" if isinstance(text, bytes) else (text + "\n").encode())
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert rc == 2, text
-        assert err.startswith("error: ") and "Traceback" not in err, text
+        assert err.startswith("error: ") and err.count("\n") == 1, (text, err)
+    assert err.startswith(f"error: cannot read config {cfg}: ")
+
+
+def test_the_config_checksum_is_the_sha256_of_the_file_bytes(tmp_path):
+    # CRLF line endings are bytes of the file too: the checksum is not the LF twin's
+    cfg = tmp_path / "crlf.cfg"
+    cfg.write_bytes(BASE_CFG.replace("\n", "\r\n").encode())
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    want = hashlib.sha256(cfg.read_bytes()).hexdigest()
+    assert want != config_checksum(BASE_CFG)
+    assert json.loads((out / "run_manifest.json").read_text())["config_checksum"] == want
+    assert _read_csv(out / "trajectory.csv")[0] == f"# config_checksum={want}"
 
 
 def test_invariant_tests_each_configured_radius_exactly(tmp_path, monkeypatch):

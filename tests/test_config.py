@@ -1,6 +1,9 @@
 """Config grammar, validation errors, constants echo, checksum stability."""
 
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,8 @@ from snls.config import (
     config_checksum,
     parse_config,
 )
-from snls.dynamics import ConfigurationError, engine_info
+from snls.cli import main
+from snls.dynamics import CONFIG_KEYS, ConfigurationError, SdeConfig, build_operators, engine_info
 
 
 GOOD = """
@@ -63,21 +67,21 @@ def test_full_config_parses_every_key():
 
 
 @pytest.mark.parametrize("text,needle", [
-    ("alpha = 0.5", "alpha must exceed 1"),
+    ("alpha = 0.5", "key 'alpha': expected a finite real exceeding 1, got 0.5"),
     ("alpha = 2\nalpha = 3", "duplicate key 'alpha' at line 2"),
     ("alpha = 2\nalpha = 3", "first set at line 1"),
     ("foo.bar = 1", "unknown config key 'foo.bar' at line 1"),
-    ("dt = fast", "key 'dt': expected a positive real, got 'fast'"),
+    ("dt = fast", "key 'dt': expected a finite positive real, got 'fast'"),
     ("just words", "line 1: expected key = value"),
-    ("noise.B.count = two", "key 'noise.B.count': expected an integer"),
-    ("noise.B.count = -1", "must be non-negative"),
+    ("noise.B.count = two", "key 'noise.B.count': expected a non-negative integer, got 'two'"),
+    ("noise.B.count = -1", "key 'noise.B.count': expected a non-negative integer, got '-1'"),
     ("noise.B.count = 2\nnoise.B.1.profile = 0.2", "missing profile for noise.B.2.profile"),
     ("noise.B.count = 1\nnoise.B.1.profile = 0.2\nnoise.B.3.profile = 0.1",
      "'noise.B.3.profile' exceeds noise.B.count = 1"),
     ("noise.B.x.profile = 0.2", "malformed key"),
     ("noise.B.0.profile = 0.2", "malformed key"),
     ("run.radii = 2, 1", "strictly ascending"),
-    ("scheme = rk4", "scheme must be one of"),
+    ("scheme = rk4", "key 'scheme': expected one of ('ito_exp_em', 'strat_split'), got 'rk4'"),
     ("domain.kind = circle", "key 'domain.kind'"),
     ("noise.G.variant = cubic", "key 'noise.G.variant'"),
     ("domain.oversample = 1", "key 'domain.oversample'"),
@@ -88,17 +92,23 @@ def test_full_config_parses_every_key():
     ("ensemble.paths = 0", "paths"),
     ("seed = -1", "seed"),
     ("run.burn_in_fraction = 1.5", "burn_in"),
-    ("dt = 0.5\nt_final = 0.1", "dt must not exceed t_final"),
+    ("dt = 0.5\nt_final = 0.1",
+     "key 't_final': expected 0 or a positive integer multiple of dt, got 0.1"),
     ("dt = nan", "key 'dt'"),
     ("t_final = inf", "key 't_final'"),
-    ("t_final = 1e300\ndt = 1e-10", "t_final must be an integer multiple of dt"),
-    ("alpha = inf", "alpha must exceed 1"),
+    ("t_final = 1e300\ndt = 1e-10",
+     "key 't_final': expected 0 or a positive integer multiple of dt, got 1e+300"),
+    ("alpha = inf", "key 'alpha': expected a finite real exceeding 1, got inf"),
     ("beta = nan", "key 'beta'"),
     ("noise.G.variant = linear_diagonal\nnoise.G.params = 0.3, nan", "key 'noise.G.params'"),
-    ("noise.G.params = 0.3, 0.2", "key 'noise.G.params': G variant 'none' takes no parameters"),
-    ("noise.G.variant = additive", "key 'noise.G.params': G variant 'additive' needs"),
+    ("noise.G.params = 0.3, 0.2",
+     "key 'noise.G.params': expected comma-separated reals, none for G variant 'none'"),
+    ("noise.G.variant = additive", "key 'noise.G.params': expected comma-separated reals, "
+     "none for G variant 'none' and at least one for the others"),
     ("run.radii = 1, inf", "key 'run.radii'"),
-    ("run.radii = -3, 2", "key 'run.radii': radii must be non-negative"),
+    ("run.radii = -3, 2",
+     "key 'run.radii': expected strictly ascending non-negative finite reals, comma-separated, "
+     "got (-3.0, 2.0)"),
     ("run.lambda = nan", "key 'run.lambda'"),
     ("domain.modes_per_axis = 1", "key 'domain.modes_per_axis'"),
     ("domain.modes_per_axis = 15", "key 'domain.modes_per_axis'"),
@@ -187,3 +197,55 @@ def test_run_manifest_is_valid_json():
     assert body["config"]["radii"] == [1.0, 2.0, 4.0]
     assert body["constants"]["beta_condition_ok"] is True
     assert len(body["config_checksum"]) == 64
+
+
+# one value off each key's rule, as written in a config
+OFF_RULE = {
+    "domain.kind": "circle", "domain.modes_per_axis": "15", "domain.oversample": "1",
+    "galerkin.level": "1023", "alpha": "0.5", "dt": "0.0", "t_final": "0.0105",
+    "beta": "-1000000.0", "scheme": "rk4", "snapshot_stride": "0", "seed": "-1",
+    "ensemble.paths": "0", "nonlinearity.enabled": "maybe", "noise.B.count": "-1",
+    "noise.B.<m>.profile": "1e200", "noise.G.variant": "cubic", "noise.G.params": "0.3",
+    "run.burn_in_fraction": "1.5", "run.radii": "2.0, 1.0", "run.lambda": "nan",
+}
+
+
+@pytest.mark.parametrize("row", CONFIG_KEYS, ids=lambda row: row.key)
+def test_every_key_rejects_as_key_rule_and_value(row, tmp_path, capsys):
+    key = row.key.replace("<m>", "1")
+    before = "noise.B.count = 1\n" if key != row.key else ""
+    # an off-rule value, and "?", which fails the parser or the rule of every key:
+    # both rejections state the same rule; a B profile meets its rule when the
+    # operators are built on the basis spectrum
+    for value in (OFF_RULE[row.key], "?"):
+        text = f"{before}{key} = {value}\n"
+        with pytest.raises(ConfigurationError) as exc:
+            build_operators(parse_config(text))
+        msg = str(exc.value)
+        assert msg.startswith(f"key {key!r}: expected {row.rule}, got "), msg
+        assert value in msg.split(", got ", 1)[1], msg
+
+        cfg, out = tmp_path / "run.cfg", tmp_path / value
+        cfg.write_text(text)
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {msg}\n" and captured.out == ""
+        assert not (out / "run_manifest.json").exists()
+
+
+def test_the_key_table_sets_every_config_field():
+    assert {row.field for row in CONFIG_KEYS} == {f.name for f in dataclasses.fields(SdeConfig)}
+    assert len({row.key for row in CONFIG_KEYS}) == len(CONFIG_KEYS)
+    # b_profiles is the one field set by two keys
+    assert [row.key for row in CONFIG_KEYS if row.field == "b_profiles"] == \
+        ["noise.B.count", "noise.B.<m>.profile"]
+
+
+def test_the_readme_lists_every_key_with_its_rule():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration keys\n", 1)[1].split("\n## ", 1)[0]
+    cells = [[c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+             for line in section.splitlines() if line.startswith("| `")]
+    assert [c[0] for c in cells] == [f"`{row.key}`" for row in CONFIG_KEYS]
+    for c, row in zip(cells, CONFIG_KEYS):
+        assert f"`{row.rule}`" in c[2], row.key

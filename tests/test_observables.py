@@ -61,7 +61,8 @@ def test_state_functionals_of_the_zero_field_are_identically_zero():
 
 def test_state_functionals_reject_alpha_at_most_one():
     basis = make_basis("torus1d", 16, 2)
-    with pytest.raises(ConfigurationError, match="alpha must exceed 1"):
+    with pytest.raises(ConfigurationError,
+                       match=r"key 'alpha': expected a finite real exceeding 1, got 1\.0"):
         state_functionals(np.zeros((1, basis.n_modes), dtype=complex), basis, 1.0)
 
 

@@ -204,7 +204,9 @@ def test_profile_knows_only_lambda_and_quotes_the_text_as_written(text, says):
     basis = make_basis("torus1d", 8)
     with pytest.raises(OperatorError) as exc:
         make_noise_B(basis, (text,))
-    assert says in str(exc.value) and f"B profile {text!r}" in str(exc.value)
+    msg = str(exc.value)
+    assert msg.startswith("key 'noise.B.1.profile': expected ") and says in msg
+    assert f", got {text!r} (" in msg
 
 
 def test_profile_rejects_non_finite():

@@ -373,17 +373,21 @@ def test_quartic_energy_quadrature_is_exact_on_the_band_grid(kind, modes, level)
 def test_band_level_is_validated():
     with pytest.raises(BasisError, match="level"):
         make_basis("torus1d", 8, 2, -1)
-    # every layer that takes a level states the rule in the same words
+    # every layer that takes a level states the rule in the same words; above
+    # level 1022 the band edge 2^(n+1) overflows a double
     basis = make_basis("torus1d", 8)
-    raisers = (lambda: make_basis("torus1d", 8, 2, -1), lambda: sharp_projector(-1, basis),
-               lambda: smoothed_projector(-1, basis),
-               lambda: SdeConfig(galerkin_level=-1))
-    messages = set()
-    for raiser in raisers:
-        with pytest.raises(ConfigurationError, match="level must be non-negative") as exc:
-            raiser()
-        messages.add(str(exc.value))
-    assert len(messages) == 1
+    for level in (-1, 1023):
+        raisers = (lambda: make_basis("torus1d", 8, 2, level),
+                   lambda: sharp_projector(level, basis),
+                   lambda: smoothed_projector(level, basis),
+                   lambda: SdeConfig(galerkin_level=level))
+        messages = set()
+        for raiser in raisers:
+            with pytest.raises(ConfigurationError) as exc:
+                raiser()
+            messages.add(str(exc.value))
+        assert messages == {f"key 'galerkin.level': expected an integer in [0, 1022], got {level}"}
+    assert make_basis("torus1d", 8, 2, 1022).n_modes == 8
 
 
 @pytest.mark.parametrize("kind, modes, oversample, key", [
