@@ -164,8 +164,10 @@ CONFIG_KEYS = (
     ConfigKey("run.burn_in_fraction", "burn_in_fraction", float, "a real in [0, 1)",
               lambda v, c: 0.0 <= v < 1.0),
     ConfigKey("run.radii", "radii", _parse_floats,
-              "strictly ascending non-negative finite reals, comma-separated",
-              lambda v, c: not v or (v[0] >= 0.0 and all(a < b for a, b in zip(v, v[1:])))),
+              "strictly ascending non-negative finite reals, comma-separated, "
+              "distinct to 6 significant digits",
+              lambda v, c: (not v or v[0] >= 0.0) and all(a < b for a, b in zip(v, v[1:]))
+              and len({f"{r:g}" for r in v}) == len(v)),    # the labels v_gt_<r:g>
     ConfigKey("run.lambda", "smg_lambda", float, "a finite real"),
 )
 
@@ -477,8 +479,8 @@ def engine_info(rows: Optional[int], grid_shape: Sequence[int]) -> Dict[str, obj
             "blas_pinned": _openblas_threads() is not None}
 
 
-def _slice_noise(cfg: SdeConfig, ops: GalerkinOps, keys: Sequence[int]):
-    """draw(block) -> the (block, rows, nb+ng) increments of a slice whose row r
+def _batch_noise(cfg: SdeConfig, ops: GalerkinOps, keys: Sequence[int]):
+    """draw(block) -> the (block, rows, nb+ng) increments of a batch whose row r
     has noise key keys[r]; one driver per distinct key, in first-seen order."""
     index = {k: i for i, k in enumerate(dict.fromkeys(keys))}
     slots = np.array([index[k] for k in keys])
@@ -518,15 +520,17 @@ def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
 
     A large batch runs as contiguous row slices, one per engine_threads
     thread: the first on the calling thread, the others on a pool that the
-    process keeps, with OpenBLAS held at one thread for the call.  Each
-    slice draws from its own driver for each of its keys, so a row's result
-    does not depend on the split.
+    process keeps, with OpenBLAS held at one thread for the call.  The
+    calling thread owns the noise: one driver per distinct key for the
+    whole batch, and one draw per RNG block, of which each slice reads its
+    rows.  So a row's result does not depend on the split.
 
-    The threads run only the steps of each RNG block and observe its
-    snapshots, the initial one included, with floating-point errors
-    ignored.  The calling thread then checks the blow-up rule once, on the
-    block's last state of the whole batch.  When it trips, the block is
-    replayed on the whole batch from its start state under the caller's
+    The calling thread observes the initial snapshot on the whole batch;
+    the threads then run only the steps of each block and observe its
+    snapshots, with floating-point errors ignored.  The calling thread
+    checks the blow-up rule once, on the block's last state of the whole
+    batch.  When it trips, the block is replayed on the whole batch from
+    its start state and the increments already drawn, under the caller's
     error state, checking every step with _check_rows; non-finite values
     stay non-finite, so the replay raises the error (or warning) of the
     first step that breaks the rule.  A row that exceeds BLOWUP_V_NORM and
@@ -537,7 +541,6 @@ def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
     if len(streams) != P:
         raise ConfigurationError(f"one stream key per path is required: "
                                  f"{len(streams)} keys for {P} paths")
-    streams = [int(k) for k in streams]
     snap_steps = _snapshot_steps(cfg)
     snapset = {int(s): i for i, s in enumerate(snap_steps)}
     tables = {name: np.empty((P, len(snap_steps))) for name in OBSERVABLE_NAMES}
@@ -548,7 +551,7 @@ def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
     n = engine_threads(P, ops.basis.grid_shape)
     bounds = [P * i // n for i in range(n + 1)]
     slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-    draws = [_slice_noise(cfg, ops, streams[rows]) for rows in slices]
+    draw = _batch_noise(cfg, ops, [int(k) for k in streams])
 
     def record(u: np.ndarray, rows: slice, i: int):
         obs = _observe_batch(u, cfg, ops)
@@ -570,40 +573,30 @@ def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
                 record(u, rows, i)
         return u
 
-    def fast(j: int, u: np.ndarray, step: int, block: int) -> np.ndarray:
-        """One unchecked block of slice j of the batch u; returns its last state."""
-        rows = slices[j]
+    def fast(rows: slice, u: np.ndarray, step: int, incs: np.ndarray) -> np.ndarray:
+        """One unchecked block of the rows `rows` of the batch u; returns their last state."""
         with np.errstate(all="ignore"):
-            if step == 0:
-                record(u[rows], rows, 0)
-            return advance(u[rows], rows, step, draws[j](block), False)
-
-    def replay(u: np.ndarray, step: int, block: int) -> np.ndarray:
-        """The block from u at `step` on the whole batch, checking every step.
-        Fresh drivers draw its increments again: a stream's draws do not
-        depend on how it is cut into blocks."""
-        again = [_slice_noise(cfg, ops, streams[rows]) for rows in slices]
-        for _ in range(0, step, _RNG_BLOCK):
-            for draw in again:
-                draw(_RNG_BLOCK)
-        incs = np.concatenate([draw(block) for draw in again], axis=1)
-        return advance(u, slice(None), step, incs, True)
+            return advance(u[rows], rows, step, incs[:, rows], False)
 
     pool = _workers(n - 1, os.getpid()) if n > 1 else None
     u = u0_batch.copy()
     with _blas_pinned():
-        # at t_final = 0, one block of no steps records the initial snapshot
-        for step in range(0, max(cfg.n_steps, 1), _RNG_BLOCK):
-            block = min(_RNG_BLOCK, cfg.n_steps - step)
-            later = [pool.submit(fast, j, u, step, block) for j in range(1, n)]
+        with np.errstate(all="ignore"):
+            record(u, slice(None), 0)
+        for step in range(0, cfg.n_steps, _RNG_BLOCK):
+            incs = draw(min(_RNG_BLOCK, cfg.n_steps - step))
+            later = [pool.submit(fast, rows, u, step, incs) for rows in slices[1:]]
             try:
-                head = fast(0, u, step, block)
+                head = fast(slices[0], u, step, incs)
             finally:    # no slice outlives the call, also when this one raises
                 rest = [f.result() for f in later]
             end = np.concatenate([head] + rest)
             with np.errstate(all="ignore"):
                 vsq = v_norm_sq(end, ops.basis)
-            u = end if np.all(vsq <= BLOWUP_V_NORM ** 2) else replay(u, step, block)
+            if not np.all(vsq <= BLOWUP_V_NORM ** 2):     # replay from the same increments
+                end = advance(u, slice(None), step, incs, True)
+            u = end
+            del incs    # released before the next block is drawn
     return snap_steps * cfg.dt, tables, u, states
 
 

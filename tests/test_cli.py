@@ -11,7 +11,7 @@ import pytest
 
 from snls.cli import main
 from snls.config import config_checksum
-from snls.dynamics import engine_info
+from snls.dynamics import CONFIG_KEYS, engine_info
 
 BASE_CFG = """
 domain.kind = torus1d
@@ -281,9 +281,13 @@ def test_invariant_radii_with_one_label_exit_2_before_the_fingerprint(tmp_path, 
     cfg = _write_cfg(tmp_path, text)
     out = tmp_path / "o"
     rc = main(["invariant", "--config", str(cfg), "--out", str(out)])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    rule = next(row.rule for row in CONFIG_KEYS if row.key == "run.radii")
     assert rc == 2
-    assert err.startswith("error: ") and "'v_gt_1'" in err and "Traceback" not in err
+    assert captured.err == (f"error: key 'run.radii': expected {rule}, "
+                            "got (1.0000001, 1.0000002)\n")
+    assert captured.out == ""                  # no constants echo
+    assert not (out / "run_manifest.json").exists()
     assert not (out / "fingerprint.csv").exists()
 
 

@@ -108,7 +108,7 @@ def test_full_config_parses_every_key():
     ("run.radii = 1, inf", "key 'run.radii'"),
     ("run.radii = -3, 2",
      "key 'run.radii': expected strictly ascending non-negative finite reals, comma-separated, "
-     "got (-3.0, 2.0)"),
+     "distinct to 6 significant digits, got (-3.0, 2.0)"),
     ("run.lambda = nan", "key 'run.lambda'"),
     ("domain.modes_per_axis = 1", "key 'domain.modes_per_axis'"),
     ("domain.modes_per_axis = 15", "key 'domain.modes_per_axis'"),

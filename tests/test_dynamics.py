@@ -754,16 +754,43 @@ def _linear_runaway(trip_step: int, t_final: float = 3.2):
     return cfg, ops, u0 * dynamics.BLOWUP_V_NORM / (v0 * 1.3 ** (trip_step - 0.5))
 
 
+@pytest.mark.parametrize("keys", [[0, 1, 2, 3], [0, 1, 0, 1]])
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("trip_step", [1, 100, 256, 257, 300])
-def test_the_block_replay_names_the_step_of_the_per_step_rule(trip_step, threads, monkeypatch):
-    # 1 and 257 open a block, 256 closes one, 100 and 300 fall inside one
+def test_the_block_replay_names_the_step_of_the_per_step_rule(trip_step, threads, keys,
+                                                               monkeypatch):
+    # 1 and 257 open a block, 256 closes one, 100 and 300 fall inside one; at 2
+    # threads the keys [0, 1, 0, 1] are shared across slices, so the replay
+    # reads gathered increments
     cfg, ops, amp = _linear_runaway(trip_step)
     batch = np.array([0.0 * amp, 0.5 * amp, amp, 0.0 * amp])
-    ref = _error(lambda: _per_step_reference(cfg, ops, batch, range(4)))
+    ref = _error(lambda: _per_step_reference(cfg, ops, batch, keys))
     assert ref[0] == trip_step and ref[3] == 2
     _threads(monkeypatch, threads)
-    assert _error(lambda: integrate_paths(cfg, ops, batch, range(4))) == ref
+    assert _error(lambda: integrate_paths(cfg, ops, batch, keys)) == ref
+
+
+@pytest.mark.parametrize("threads, keys, drivers", [(1, [0, 1, 2, 3], 4), (2, [0, 1, 0, 1], 2)])
+def test_a_batch_builds_one_driver_per_key_and_draws_each_block_once(threads, keys, drivers,
+                                                                     monkeypatch):
+    # a trip at step 300 falls in block 1 of 2; its replay draws nothing
+    made, drawn = [0], [0]
+
+    class Counted(BrownianDriver):
+        def __init__(self, *args):
+            made[0] += 1
+            super().__init__(*args)
+
+        def increments(self, n_steps):
+            drawn[0] += 1
+            return super().increments(n_steps)
+    cfg, ops, amp = _linear_runaway(300)
+    batch = np.array([0.0 * amp, 0.5 * amp, amp, 0.0 * amp])
+    monkeypatch.setattr(dynamics, "BrownianDriver", Counted)
+    _threads(monkeypatch, threads)
+    assert _error(lambda: integrate_paths(cfg, ops, batch, keys))[0] == 300
+    assert math.ceil(cfg.n_steps / dynamics._RNG_BLOCK) == 2
+    assert (made[0], drawn[0]) == (drivers, 2 * drivers)
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -11,7 +11,10 @@ with 270 steps, so that every run crosses an RNG block. The threaded batch
 has 3000 rows on 1-D kinds and 400 on 2-D kinds, which splits it over the
 engine's row threads wherever the machine has two cores or more. The digest
 also covers the `BlowUpError` fields of a serial and a threaded runaway,
-each once tripping in block 0 and once in block 1.
+each once tripping in block 0 and once in block 1, and of a threaded
+runaway with shared keys and linear-diagonal noise (3000 rows, keys
+p % 1000) that trips in block 1, so its replay reads gathered increments
+of keys that two row slices share.
 
 A change that claims bit-identical trajectories prints the same digest as
 its parent. Run it on each tree:
@@ -56,18 +59,19 @@ def _hash_run(h, cfg: SdeConfig, amplitudes, keys) -> None:
     h.update(u.tobytes())
 
 
-def _hash_runaway(h, rows: int, amplitudes) -> None:
-    """ito_exp_em at beta = -30, dt = 1e-2 multiplies the state by 1.3 per step."""
+def _hash_runaway(h, rows: int, amplitudes, keys=None, **noise) -> None:
+    """ito_exp_em at beta = -30, dt = 1e-2 multiplies the state by 1.3 per step;
+    row p has noise key keys[p], p by default."""
     cfg = SdeConfig(domain_kind="torus1d", modes_per_axis=16, scheme="ito_exp_em",
                     beta=-30.0, dt=1e-2, t_final=STEPS * 1e-2, snapshot_stride=9,
-                    nonlinearity_enabled=False)
+                    nonlinearity_enabled=False, **noise)
     ops = build_operators(cfg)
     u0 = default_initial(ops.basis, cfg.galerkin_level).coeffs
     batch = np.zeros((rows, ops.basis.n_modes), dtype=np.complex128)
     for row, a in amplitudes.items():
         batch[row] = a * u0
     try:
-        integrate_paths(cfg, ops, batch, range(rows))
+        integrate_paths(cfg, ops, batch, range(rows) if keys is None else keys)
     except BlowUpError as e:
         h.update(repr((e.step, e.t, e.v_norm, e.path_index, str(e))).encode())
     else:
@@ -94,6 +98,10 @@ def main() -> None:
     for rows, amplitudes in ((6, {1: 1e-3, 4: 1e-4}), (6, {2: 1e-22}),
                              (3000, {2500: 1e-3, 100: 1e-4}), (3000, {2500: 1e-22})):
         _hash_runaway(h, rows, amplitudes)
+    # shared keys: rows 500 and 2500 see key 500 from different slices; trips at step 260
+    _hash_runaway(h, 3000, {500: 1e-22, 1700: 1e-22, 2500: 1e-22},
+                  [p % 1000 for p in range(3000)],
+                  g_variant="linear_diagonal", g_params=(1.0,))
     print(h.hexdigest())
 
 
