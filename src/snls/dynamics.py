@@ -40,8 +40,9 @@ from .spectral import (KIND_RULE, LEVEL_RULE, MODES_RULE, OVERSAMPLE_RULE, Confi
                        rejection, v_norm_sq)
 from .operators import (ALPHA_RULE, B_PROFILE_RULE, G_PARAMS_RULE, G_VARIANT_RULE,
                         LinearNoiseB, StateNoiseG, _check_alpha, check_g, f_pointwise,
-                        hs_norm_sq_batch, make_noise_B, make_noise_G, sharp_projector,
-                        sigma_saturating, smoothed_projector, stratonovich_correction)
+                        hs_norm_sq_batch, make_noise_B, make_noise_G, modulus_power,
+                        sharp_projector, sigma_saturating, smoothed_projector,
+                        stratonovich_correction)
 
 logger = logging.getLogger(__name__)
 
@@ -227,9 +228,10 @@ def build_operators(cfg: SdeConfig, basis: Optional[EigenBasis] = None) -> Galer
 class BrownianDriver:
     """Per-path RNG stream of increments dW_m ~ N(0, dt), dW~_m ~ N(0, dt).
 
-    The stream is keyed by (master_seed, path_index); W and W~ occupy disjoint
-    columns of one normal block, so they are mutually independent and the
-    whole stream is reproducible from the key alone.
+    The stream is keyed by (master_seed, path_index).  increments(n) returns
+    one (n, n_B + n_G) block, dW in the first n_B columns and dW~ in the
+    rest, so the two are mutually independent and the whole stream is
+    reproducible from the key alone.
     """
 
     def __init__(self, master_seed: int, path_index: int, n_B: int, n_G: int, dt: float):
@@ -239,10 +241,10 @@ class BrownianDriver:
         seq = np.random.SeedSequence((int(master_seed), int(path_index), _NOISE_STREAM))
         self._gen = np.random.Generator(np.random.Philox(seq))
 
-    def increments(self, n_steps: int) -> Tuple[np.ndarray, np.ndarray]:
+    def increments(self, n_steps: int) -> np.ndarray:
         block = self._gen.standard_normal((n_steps, self.n_B + self.n_G))
         block *= math.sqrt(self.dt)
-        return block[:, : self.n_B], block[:, self.n_B:]
+        return block
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +302,7 @@ def _step_split_batch(u: np.ndarray, dW: np.ndarray, dWt: np.ndarray,
     u = ops.rot * u
     if cfg.nonlinearity_enabled:
         grid = ops.basis.synthesize(u)
-        if cfg.alpha == 3.0:
-            phase = cfg.dt * (grid.real ** 2 + grid.imag ** 2)
-        else:
-            phase = cfg.dt * np.abs(grid) ** (cfg.alpha - 1.0)
+        phase = cfg.dt * modulus_power(grid, cfg.alpha)
         # in place: `grid * np.exp(..)` becomes `exp * grid` once numpy reuses
         # the temporary (256 KiB and up), and the complex product rounds
         # differently, so a row would depend on the batch size
@@ -395,11 +394,9 @@ def _observe_batch(u: np.ndarray, cfg: SdeConfig, ops: GalerkinOps) -> Dict[str,
     return obs
 
 
-def _prepare_initial(initial, cfg: SdeConfig, ops: GalerkinOps,
-                     path_indices: Sequence[int]) -> np.ndarray:
-    """Initial batch, one row per path; initial is a field or a path_index -> field factory."""
-    fields = [initial(int(p)) for p in path_indices] if callable(initial) \
-        else [initial] * len(path_indices)
+def _prepare_initial(fields: Sequence[SpectralField], cfg: SdeConfig,
+                     ops: GalerkinOps) -> np.ndarray:
+    """Initial batch, one row per field."""
     # coefficients of another geometry would be silently read as this one's modes
     want = (cfg.domain_kind, cfg.modes_per_axis, cfg.oversample)
     for u in fields:
@@ -490,9 +487,7 @@ def _batch_noise(cfg: SdeConfig, ops: GalerkinOps, keys: Sequence[int]):
     def draw(block: int) -> np.ndarray:
         incs = np.empty((block, len(drivers), nb + ng))
         for s, d in enumerate(drivers):
-            dW, dWt = d.increments(block)
-            incs[:, s, :nb] = dW
-            incs[:, s, nb:] = dWt
+            incs[:, s] = d.increments(block)
         return incs[:, slots] if len(drivers) < len(slots) else incs   # keys shared between rows
 
     return draw
@@ -525,17 +520,14 @@ def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
     whole batch, and one draw per RNG block, of which each slice reads its
     rows.  So a row's result does not depend on the split.
 
-    The calling thread observes the initial snapshot on the whole batch;
-    the threads then run only the steps of each block and observe its
-    snapshots, with floating-point errors ignored.  The calling thread
-    checks the blow-up rule once, on the block's last state of the whole
-    batch.  When it trips, the block is replayed on the whole batch from
-    its start state and the increments already drawn, under the caller's
-    error state, checking every step with _check_rows; non-finite values
-    stay non-finite, so the replay raises the error (or warning) of the
-    first step that breaks the rule.  A row that exceeds BLOWUP_V_NORM and
-    falls back below it within one block passes, and so do floating-point
-    errors in a block that passes.
+    Floating-point errors are ignored throughout, whatever the caller's
+    np.errstate: a run fails only with BlowUpError.  The threads run the
+    steps of each block and observe its snapshots; the calling thread checks
+    the blow-up rule on the block's last state of the whole batch and, when
+    it trips, replays the block from the same increments with _check_rows
+    after every step.  Non-finite values stay non-finite, so the error names
+    what a check after every step would, except that a row that exceeds
+    BLOWUP_V_NORM and falls back below it within one block passes.
     """
     P = u0_batch.shape[0]
     if len(streams) != P:
@@ -575,14 +567,13 @@ def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
 
     def fast(rows: slice, u: np.ndarray, step: int, incs: np.ndarray) -> np.ndarray:
         """One unchecked block of the rows `rows` of the batch u; returns their last state."""
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):     # pool threads do not inherit the caller's
             return advance(u[rows], rows, step, incs[:, rows], False)
 
     pool = _workers(n - 1, os.getpid()) if n > 1 else None
     u = u0_batch.copy()
-    with _blas_pinned():
-        with np.errstate(all="ignore"):
-            record(u, slice(None), 0)
+    with _blas_pinned(), np.errstate(all="ignore"):
+        record(u, slice(None), 0)
         for step in range(0, cfg.n_steps, _RNG_BLOCK):
             incs = draw(min(_RNG_BLOCK, cfg.n_steps - step))
             later = [pool.submit(fast, rows, u, step, incs) for rows in slices[1:]]
@@ -591,10 +582,8 @@ def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
             finally:    # no slice outlives the call, also when this one raises
                 rest = [f.result() for f in later]
             end = np.concatenate([head] + rest)
-            with np.errstate(all="ignore"):
-                vsq = v_norm_sq(end, ops.basis)
-            if not np.all(vsq <= BLOWUP_V_NORM ** 2):     # replay from the same increments
-                end = advance(u, slice(None), step, incs, True)
+            if not np.all(v_norm_sq(end, ops.basis) <= BLOWUP_V_NORM ** 2):
+                end = advance(u, slice(None), step, incs, True)    # the same increments
             u = end
             del incs    # released before the next block is drawn
     return snap_steps * cfg.dt, tables, u, states
@@ -616,7 +605,7 @@ def simulate(cfg: SdeConfig, initial: SpectralField,
              collect_states: bool = False) -> TrajectoryRecord:
     """Integrate one trajectory (path_index 0 of the config seed)."""
     ops = build_operators(cfg)
-    u0 = _prepare_initial(initial, cfg, ops, [0])
+    u0 = _prepare_initial([initial], cfg, ops)
     times, tables, u, states = integrate_paths(cfg, ops, u0, [0], collect_states)
     table = {name: tables[name][0] for name in OBSERVABLE_NAMES}
     return TrajectoryRecord(times=times, table=table,
@@ -670,7 +659,8 @@ def simulate_ensemble(cfg: SdeConfig, initial) -> EnsembleReport:
     while done < n_paths:
         pn = min(_ENSEMBLE_CHUNK, n_paths - done)
         idx = list(range(done, done + pn))
-        u0 = _prepare_initial(initial, cfg, ops, idx)
+        u0 = _prepare_initial([initial(p) for p in idx] if callable(initial)
+                              else [initial] * pn, cfg, ops)
         try:
             times, tables, _, _ = integrate_paths(cfg, ops, u0, idx)
         except BlowUpError as exc:

@@ -120,7 +120,7 @@ def invariant_fingerprint(cfg: SdeConfig, initial_data: Sequence[Tuple[str, Spec
                                      "(radii are labelled to 6 significant digits)")
     n = len(initial_data)
     ops = build_operators(cfg)
-    u0 = _prepare_initial(lambda j: initial_data[j][1], cfg, ops, range(n))
+    u0 = _prepare_initial([field for _, field in initial_data], cfg, ops)
     # looked up on the module, so a wrapper installed there sees the call
     times, tables, _, _ = dynamics.integrate_paths(cfg, ops, u0, [0] * n)
     burn_in = cfg.burn_in_fraction * cfg.t_final

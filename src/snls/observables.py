@@ -106,7 +106,7 @@ def contraction_diagnostic(u10: SpectralField, u20: SpectralField,
     P = cfg.paths
     ops = build_operators(cfg)
     # rows p and P + p start from u10 and u20 and share noise stream p
-    u0 = _prepare_initial(lambda r: u10 if r < P else u20, cfg, ops, range(2 * P))
+    u0 = _prepare_initial([u10] * P + [u20] * P, cfg, ops)
     times, _, _, states = integrate_paths(cfg, ops, u0, np.tile(np.arange(P), 2),
                                           collect_states=True)
     axes = tuple(range(-ops.basis.dim, 0))

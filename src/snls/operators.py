@@ -102,10 +102,15 @@ def _check_alpha(alpha: float) -> None:
         raise OperatorError(rejection("alpha", ALPHA_RULE, alpha))
 
 
-def f_pointwise(values: np.ndarray, alpha: float) -> np.ndarray:
+def modulus_power(values: np.ndarray, alpha: float) -> np.ndarray:
+    """|values|^(alpha-1) pointwise; re^2 + im^2 at alpha = 3."""
     if alpha == 3.0:
-        return values * (values.real ** 2 + values.imag ** 2)
-    return values * np.abs(values) ** (alpha - 1.0)
+        return values.real ** 2 + values.imag ** 2
+    return np.abs(values) ** (alpha - 1.0)
+
+
+def f_pointwise(values: np.ndarray, alpha: float) -> np.ndarray:
+    return values * modulus_power(values, alpha)
 
 
 def apply_F(u: SpectralField, alpha: float) -> SpectralField:

@@ -315,15 +315,24 @@ def test_invalid_overrides_exit_2_without_a_manifest(tmp_path, capsys, override)
     assert not (out / "run_manifest.json").exists()
 
 
-def test_blow_up_exits_1(tmp_path, capsys):
-    text = BASE_CFG.replace("beta = 1.0", "beta = -30") \
-                   .replace("scheme = strat_split", "scheme = ito_exp_em") \
-                   .replace("dt = 1e-3", "dt = 1e-2") \
-                   .replace("t_final = 0.02", "t_final = 2")
+@pytest.mark.parametrize("edits", [
+    {"beta = 1.0": "beta = -30", "scheme = strat_split": "scheme = ito_exp_em",
+     "dt = 1e-3": "dt = 1e-2", "t_final = 0.02": "t_final = 2"},
+    # the next two overflow at step 1, inside the blow-up guard's own V-norm
+    {"beta = 1.0": "beta = -700", "dt = 1e-3": "dt = 1", "t_final = 0.02": "t_final = 1"},
+    {"scheme = strat_split": "scheme = ito_exp_em",
+     "noise.B.1.profile = 0.2": "noise.B.1.profile = 1e154"},
+], ids=["antidamped", "beta_-700", "B_1e154"])
+def test_blow_up_exits_1(tmp_path, capsys, edits):
+    text = BASE_CFG
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
     cfg = _write_cfg(tmp_path, text)
     rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 1
-    assert "blow-up" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: blow-up guard tripped at step "), err
 
 
 @pytest.mark.parametrize("mode, name", [("simulate", "trajectory.csv"),

@@ -4,6 +4,7 @@ import dataclasses
 import logging
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -199,28 +200,23 @@ def test_drift_vanishes_at_zero_and_is_mass_neutral_without_damping():
 def test_brownian_driver_is_reproducible_and_stateful():
     d1 = BrownianDriver(42, 7, n_B=2, n_G=1, dt=1e-3)
     d2 = BrownianDriver(42, 7, n_B=2, n_G=1, dt=1e-3)
-    a_W, a_Wt = d1.increments(100)
-    b_W, b_Wt = d2.increments(100)
-    assert np.array_equal(a_W, b_W) and np.array_equal(a_Wt, b_Wt)
-    c_W, _ = d1.increments(100)           # continuation, not a replay
-    assert not np.array_equal(a_W, c_W)
-    other_W, _ = BrownianDriver(42, 8, n_B=2, n_G=1, dt=1e-3).increments(100)
-    assert not np.array_equal(a_W, other_W)
+    a = d1.increments(100)
+    assert a.shape == (100, 3)            # dW in columns 0 and 1, dW~ in column 2
+    assert np.array_equal(a, d2.increments(100))
+    assert not np.array_equal(a, d1.increments(100))     # continuation, not a replay
+    assert not np.array_equal(a, BrownianDriver(42, 8, n_B=2, n_G=1, dt=1e-3).increments(100))
 
 
 def test_brownian_increments_do_not_depend_on_the_draw_blocks():
     # the engine draws increments in blocks; the block size must not move a bit
-    whole_W, whole_Wt = BrownianDriver(42, 7, n_B=2, n_G=1, dt=1e-3).increments(300)
+    whole = BrownianDriver(42, 7, n_B=2, n_G=1, dt=1e-3).increments(300)
     d = BrownianDriver(42, 7, n_B=2, n_G=1, dt=1e-3)
-    parts = [d.increments(n) for n in (64, 64, 64, 64, 44)]
-    assert np.array_equal(whole_W, np.concatenate([W for W, _ in parts]))
-    assert np.array_equal(whole_Wt, np.concatenate([Wt for _, Wt in parts]))
+    assert np.array_equal(whole, np.concatenate([d.increments(n) for n in (64, 64, 64, 64, 44)]))
 
 
 def test_brownian_increments_have_the_right_scale_and_no_cross_correlation():
     dt = 2e-3
-    W, Wt = BrownianDriver(3, 0, n_B=2, n_G=1, dt=dt).increments(20000)
-    z = np.hstack([W, Wt]) / math.sqrt(dt)
+    z = BrownianDriver(3, 0, n_B=2, n_G=1, dt=dt).increments(20000) / math.sqrt(dt)
     assert np.all(np.abs(z.mean(axis=0)) < 0.04)          # ~4 sigma
     assert np.all(np.abs(z.std(axis=0) - 1.0) < 0.04)
     corr = np.corrcoef(z.T)
@@ -578,8 +574,9 @@ def _antidamped_rows(amplitudes, **kw):
 
 def _blow_up(cfg, ops, batch, monkeypatch, n):
     _threads(monkeypatch, n)
-    # rows of 1e200 overflow at once; the error state must reach every thread
-    with pytest.raises(BlowUpError) as exc, np.errstate(over="ignore", invalid="ignore"):
+    # rows of 1e200 overflow at once; the engine's own error state must reach
+    # every thread and override the caller's, so nothing but BlowUpError leaves
+    with pytest.raises(BlowUpError) as exc, np.errstate(all="raise"):
         integrate_paths(cfg, ops, batch, range(len(batch)))
     e = exc.value
     assert f"(path {e.path_index})" in str(e)
@@ -699,7 +696,7 @@ def _per_step_reference(cfg, ops, u0_batch, streams):
     step = 0
     while step < cfg.n_steps:
         block = min(dynamics._RNG_BLOCK, cfg.n_steps - step)
-        inc = np.stack([np.concatenate(d.increments(block), axis=1) for d in drivers])
+        inc = np.stack([d.increments(block) for d in drivers])
         for i in range(block):
             row_inc = inc[slots, i]
             u = dynamics._STEPPERS[cfg.scheme](u, row_inc[:, :nb], row_inc[:, nb:], cfg, ops)
@@ -885,3 +882,21 @@ def test_floating_point_errors_in_a_block_that_passes_are_not_raised():
     with np.errstate(under="raise"):
         rec = simulate(cfg, u0)
     assert rec.table["mass"][-1] == 0.0
+
+
+@pytest.mark.parametrize("knobs", [
+    dict(beta=-700.0, dt=1.0, t_final=1.0, nonlinearity_enabled=True),
+    dict(scheme="ito_exp_em", b_profiles=("1e154",), t_final=0.27),
+])
+@pytest.mark.parametrize("strict", ["errstate", "warnings"])
+def test_an_overflow_in_the_guard_ends_only_in_blow_up(knobs, strict):
+    # both runs overflow at step 1 inside the guard's own V-norm; whatever the
+    # caller asks of floating-point errors, only the BlowUpError leaves
+    cfg = _cfg(**knobs)
+    u0 = default_initial(build_operators(cfg).basis, cfg.galerkin_level)
+    with warnings.catch_warnings(), np.errstate(all="raise" if strict == "errstate" else "warn"):
+        if strict == "warnings":
+            warnings.simplefilter("error")
+        with pytest.raises(BlowUpError) as exc:
+            simulate(cfg, u0)
+    assert (exc.value.step, exc.value.v_norm, exc.value.path_index) == (1, math.inf, 0)

@@ -14,7 +14,9 @@ also covers the `BlowUpError` fields of a serial and a threaded runaway,
 each once tripping in block 0 and once in block 1, and of a threaded
 runaway with shared keys and linear-diagonal noise (3000 rows, keys
 p % 1000) that trips in block 1, so its replay reads gathered increments
-of keys that two row slices share.
+of keys that two row slices share. Two more runaways, each at 6 and at
+3000 rows, overflow at step 1 inside the guard's own V-norm: `ito_exp_em`
+with a `B` amplitude of 1e154 and `strat_split` with beta = -700, dt = 1.
 
 A change that claims bit-identical trajectories prints the same digest as
 its parent. Run it on each tree:
@@ -36,6 +38,9 @@ from snls.dynamics import integrate_paths
 
 STEPS = 270                  # past the first RNG block of 256 steps
 THREADED_ROWS = {1: 3000, 2: 400}
+# ito_exp_em at beta = -30, dt = 1e-2 multiplies the state by 1.3 per step
+RUNAWAY = dict(domain_kind="torus1d", modes_per_axis=16, scheme="ito_exp_em", beta=-30.0,
+               dt=1e-2, t_final=STEPS * 1e-2, snapshot_stride=9, nonlinearity_enabled=False)
 
 
 def _batches(rows: int):
@@ -59,12 +64,9 @@ def _hash_run(h, cfg: SdeConfig, amplitudes, keys) -> None:
     h.update(u.tobytes())
 
 
-def _hash_runaway(h, rows: int, amplitudes, keys=None, **noise) -> None:
-    """ito_exp_em at beta = -30, dt = 1e-2 multiplies the state by 1.3 per step;
-    row p has noise key keys[p], p by default."""
-    cfg = SdeConfig(domain_kind="torus1d", modes_per_axis=16, scheme="ito_exp_em",
-                    beta=-30.0, dt=1e-2, t_final=STEPS * 1e-2, snapshot_stride=9,
-                    nonlinearity_enabled=False, **noise)
+def _hash_runaway(h, rows: int, amplitudes, keys=None, **knobs) -> None:
+    """The RUNAWAY config with knobs replaced; row p has noise key keys[p], p by default."""
+    cfg = SdeConfig(**{**RUNAWAY, **knobs})
     ops = build_operators(cfg)
     u0 = default_initial(ops.basis, cfg.galerkin_level).coeffs
     batch = np.zeros((rows, ops.basis.n_modes), dtype=np.complex128)
@@ -102,6 +104,11 @@ def main() -> None:
     _hash_runaway(h, 3000, {500: 1e-22, 1700: 1e-22, 2500: 1e-22},
                   [p % 1000 for p in range(3000)],
                   g_variant="linear_diagonal", g_params=(1.0,))
+    # overflow at step 1 in the guard's V-norm
+    for rows in (6, 3000):
+        _hash_runaway(h, rows, {1: 1.0}, b_profiles=("1e154",), dt=1e-3, t_final=STEPS * 1e-3)
+        _hash_runaway(h, rows, {1: 1.0}, scheme="strat_split", beta=-700.0, dt=1.0,
+                      t_final=STEPS * 1.0)
     print(h.hexdigest())
 
 
