@@ -111,9 +111,11 @@ def _run_verify(cfg, out: Path, checksum: str) -> int:
     from .verify import run_verify
     records, n_failed = run_verify()
     head = {"config_checksum": checksum, "tool_version": __version__}
-    _write(out / "verify.json-lines", map(json.dumps, [head] + records))
+    _write(out / "verify.json-lines",
+           [json.dumps(rec, allow_nan=False) for rec in [head] + records])
     for rec in records:
-        print(f"[{rec['status']}] {rec['name']}: measured {rec['measured']:.3e} "
+        measured = "none" if rec["measured"] is None else f"{rec['measured']:.3e}"
+        print(f"[{rec['status']}] {rec['name']}: measured {measured} "
               f"tolerance {rec['tolerance']:.3e}")
     print(f"{len(records)} checks, {n_failed} failed")
     return 0 if n_failed == 0 else 1

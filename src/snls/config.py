@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import platform
 from dataclasses import dataclass
 from typing import Dict, Tuple, Union
@@ -20,6 +21,7 @@ import numpy as np
 import scipy
 
 from .spectral import rejection
+from .operators import B_PROFILE_RULE, G_PARAMS_RULE, make_noise_B
 from .dynamics import CONFIG_KEYS, ConfigurationError, SdeConfig, build_operators
 
 _ROWS = {row.key: row for row in CONFIG_KEYS}
@@ -124,12 +126,32 @@ class ConstantsReport:
         return [f"{k} = {v}" for k, v in self.to_dict().items()]
 
 
+def _damping_terms(cfg: SdeConfig, B, G) -> Tuple[float, float]:
+    """C1~^2 + C2~^2 + ||B||^2_V and (alpha+1)/2 ||B||^2_Lp + alpha C3~^2."""
+    return (G.C1t ** 2 + G.C2t ** 2 + B.h_opnorm_sq_sum,
+            0.5 * (cfg.alpha + 1.0) * B.lp_opnorm_sq_sum_bound + cfg.alpha * G.C3t ** 2)
+
+
+def _overflowing_noise_key(cfg: SdeConfig, ops) -> str:
+    """The rejection of the noise input that takes a damping term past the
+    largest double: G's params, else the first B profile whose running sum does."""
+    for m in range(len(cfg.b_profiles) + 1):
+        B = make_noise_B(ops.basis, cfg.b_profiles[:m])
+        if not all(map(math.isfinite, _damping_terms(cfg, B, ops.G))):
+            return (rejection("noise.G.params", G_PARAMS_RULE, cfg.g_params) if m == 0 else
+                    rejection(f"noise.B.{m}.profile", B_PROFILE_RULE, cfg.b_profiles[m - 1]))
+
+
 def compute_constants(cfg: SdeConfig) -> ConstantsReport:
-    """Constants of the B, G and grid that build_operators(cfg) gives the integrator."""
+    """Constants of the B, G and grid that build_operators(cfg) gives the integrator.
+
+    Rejects a config whose damping terms are not finite doubles, naming the
+    noise key that overflows them."""
     ops = build_operators(cfg)
     B, G = ops.B, ops.G
-    term_v = G.C1t ** 2 + G.C2t ** 2 + B.h_opnorm_sq_sum
-    term_lp = 0.5 * (cfg.alpha + 1.0) * B.lp_opnorm_sq_sum_bound + cfg.alpha * G.C3t ** 2
+    term_v, term_lp = _damping_terms(cfg, B, G)
+    if not (math.isfinite(term_v) and math.isfinite(term_lp)):
+        raise ConfigError(_overflowing_noise_key(cfg, ops))
     return ConstantsReport(
         alpha=cfg.alpha, beta=cfg.beta,
         c1=G.C1, c1_tilde=G.C1t, c2=G.C2, c2_tilde=G.C2t, c3=G.C3, c3_tilde=G.C3t,
@@ -172,4 +194,4 @@ class RunManifest:
             "versions": {"python": platform.python_version(), "numpy": np.__version__,
                          "scipy": scipy.__version__},
         }
-        return json.dumps(body, indent=2, sort_keys=True)
+        return json.dumps(body, indent=2, sort_keys=True, allow_nan=False)

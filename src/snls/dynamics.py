@@ -28,7 +28,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from collections import namedtuple
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -57,6 +57,13 @@ _ENSEMBLE_CHUNK = 2048    # paths simulate_ensemble integrates together
 # of the steppers lost below about 16k and won above it
 _THREAD_WORK = 8192
 _LOG_MAX = math.log(sys.float_info.max)    # math.exp overflows above it
+# bytes of the complex grid values of one chunk of rows: the grid-pointwise
+# stages of a step and the snapshot observables run a chunk at a time, so
+# their temporaries stay below glibc's default mmap threshold (128 KiB) and
+# are not faulted in again on every step
+_CHUNK_BYTES = 128 * 1024
+# elements below which one complex exp is cheaper than a cos and a sin
+_UNIT_PHASE_MIN = 1024
 
 
 class BlowUpError(RuntimeError):
@@ -189,6 +196,7 @@ class GalerkinOps:
     rot: np.ndarray              # exp(-i a_k dt)
     damp: float                  # exp(-beta dt)
     g_additive_dressed: Optional[np.ndarray]   # w * g_m, shape (M~, n_modes)
+    work: Optional["StepWork"] = None   # a row slice's buffers, set by integrate_paths
 
 
 def build_operators(cfg: SdeConfig, basis: Optional[EigenBasis] = None) -> GalerkinOps:
@@ -250,8 +258,98 @@ class BrownianDriver:
 # ---------------------------------------------------------------------------
 # step kernels (batched over paths: u has shape (P, n_modes))
 
-def _g_increment(u: np.ndarray, dWt: np.ndarray, ops: GalerkinOps) -> Optional[np.ndarray]:
-    """-i S_n G(S_n u) dW~ for a batch; None when G is off."""
+def _row_chunks(rows: int, basis: EigenBasis) -> Tuple[slice, ...]:
+    """Ranges of max(2, _CHUNK_BYTES // (16 x grid points)) rows that cover
+    `rows`; a lone last row joins the chunk before it.  A one-row BLAS product
+    is a matrix-vector product, which rounds unlike the matrix-matrix product
+    of several rows, so in a batch of two rows or more a row gets the same
+    bits in any chunk."""
+    per = max(2, _CHUNK_BYTES // (16 * math.prod(basis.grid_shape)))
+    bounds = list(range(0, rows, per)) + [rows]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return tuple(slice(a, b) for a, b in zip(bounds, bounds[1:]))
+
+
+class StepWork:
+    """The buffers the steps of one row slice write into, each made at its first
+    use and kept for the integrate_paths call: at most 16 x rows x (3.5
+    n_modes + grid points, plus modes_per_axis x grid points per axis on a 2-D
+    basis) bytes, and a scratch of the grid points of the widest of `chunks`,
+    the row ranges the grid-pointwise stages run over.  A stepper that uses
+    none of them, as ito_exp_em without Nemytskii G, makes none.
+    """
+
+    def __init__(self, rows: int, basis: EigenBasis):
+        self.rows = rows
+        self.basis = basis
+
+    def _empty(self, *shape: int, dtype=np.complex128) -> np.ndarray:
+        return np.empty((self.rows,) + shape, dtype=dtype)
+
+    @functools.cached_property
+    def states(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(rows, n_modes) each: a step returns the one its input is not."""
+        return self._empty(self.basis.n_modes), self._empty(self.basis.n_modes)
+
+    @functools.cached_property
+    def coef(self) -> np.ndarray:
+        """(rows, n_modes): the B phase factor, then the Nemytskii increment."""
+        return self._empty(self.basis.n_modes)
+
+    @functools.cached_property
+    def phase(self) -> np.ndarray:
+        """(rows, n_modes) float64: dW @ b_eff."""
+        return self._empty(self.basis.n_modes, dtype=np.float64)
+
+    @functools.cached_property
+    def grid(self) -> np.ndarray:
+        """(rows,) + grid_shape."""
+        return self._empty(*self.basis.grid_shape)
+
+    @functools.cached_property
+    def mid(self) -> Optional[np.ndarray]:
+        """A 2-D transform's values after its first axis; None on a 1-D basis."""
+        basis = self.basis
+        return self._empty(basis.modes_per_axis * basis.grid_shape[-1]) if basis.dim > 1 else None
+
+    @functools.cached_property
+    def chunks(self) -> Tuple[Tuple[slice, np.ndarray, np.ndarray], ...]:
+        """(rows, their grid values, a scratch of that shape) per row chunk, each
+        (chunk rows, grid points); every scratch is a view of one complex array."""
+        points = self.grid.reshape(self.rows, -1)
+        chunks = _row_chunks(self.rows, self.basis)
+        scratch = np.empty(max((c.stop - c.start for c in chunks), default=0) * points.shape[1],
+                           dtype=np.complex128)
+        return tuple((c, points[c], scratch[:points[c].size].reshape(points[c].shape))
+                     for c in chunks)
+
+
+def _work(u: np.ndarray, ops: GalerkinOps) -> StepWork:
+    """ops.work when it was made for u's rows, else a fresh StepWork."""
+    work = ops.work
+    if work is None or work.rows != len(u):
+        work = StepWork(len(u), ops.basis)
+    return work
+
+
+def _unit_phase(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """e^{-ix} for real x, into the complex array out of x's shape: cos(x) into
+    its real part and -sin(x) into its imaginary part, or one complex exp below
+    _UNIT_PHASE_MIN elements.  With numpy's libm kernels the two give the same
+    bits, so a row does not depend on which one its batch took."""
+    if x.size < _UNIT_PHASE_MIN:
+        return np.exp(np.multiply(-1j, x, out=out), out=out)
+    np.cos(x, out=out.real)
+    np.negative(np.sin(x, out=out.imag), out=out.imag)
+    return out
+
+
+def _g_increment(u: np.ndarray, dWt: np.ndarray, ops: GalerkinOps,
+                 work: Optional[StepWork] = None) -> Optional[np.ndarray]:
+    """-i S_n G(S_n u) dW~ for a batch; None when G is off.  The Nemytskii
+    increment is the coef of work (by default _work(u, ops)), and it
+    overwrites that work's grid and mid."""
     G = ops.G
     if G.variant == "none":
         return None
@@ -260,11 +358,17 @@ def _g_increment(u: np.ndarray, dWt: np.ndarray, ops: GalerkinOps) -> Optional[n
         return -1j * scal[:, None] * (ops.w2 * u)
     if G.variant == "additive":
         return -1j * (dWt @ ops.g_additive_dressed)
-    # bounded_nemytskii: one synthesis of S_n u, one analysis of the mixed field
+    # bounded_nemytskii: one synthesis of S_n u, one analysis of the mixed field;
+    # sigma(z) * mix replaces z a chunk of rows at a time
     basis = ops.basis
-    sig = sigma_saturating(basis.synthesize(ops.w * u))
-    mix = np.tensordot(dWt, G.g_grids, axes=(1, 0))
-    return -1j * ops.w * basis.analyze(sig * mix)
+    work = work or _work(u, ops)
+    z = basis.synthesize(np.multiply(ops.w, u, out=work.coef), out=work.grid,
+                         scratch=work.mid)
+    g_grids = G.g_grids.reshape(G.n_modes, -1)
+    for rows, zc, scratch in work.chunks:
+        np.multiply(sigma_saturating(zc), np.dot(dWt[rows], g_grids, out=scratch), out=zc)
+    inc = basis.analyze(z, out=work.coef, scratch=work.mid)
+    return np.multiply(-1j * ops.w, inc, out=inc)
 
 
 def _nonlinear_coeffs(u: np.ndarray, ops: GalerkinOps, alpha: float) -> np.ndarray:
@@ -278,10 +382,14 @@ def _nonlinear_coeffs(u: np.ndarray, ops: GalerkinOps, alpha: float) -> np.ndarr
     return ops.maskf * ops.basis.analyze(f_pointwise(grid, alpha))
 
 
-# The steppers update the arrays they have just made in place.  Complex
-# products keep their operand order, since numpy's complex multiply rounds
-# a * b and b * a differently.  That includes the order numpy picks itself:
-# it evaluates `x * temporary` as `temporary *= x` from 256 KiB up.
+# The steppers never write into their input.  _step_split_batch writes into
+# the StepWork of ops (a fresh one when ops has none) and returns one of its
+# two states, the one its input is not, so a caller that keeps a step's
+# result past the next step must copy it.  _step_em_batch returns a new
+# array.  Complex products keep their operand order, since numpy's complex
+# multiply rounds a * b and b * a differently.  That includes the order numpy
+# picks itself: it evaluates `x * temporary` as `temporary *= x` from 256 KiB
+# up, so a product written with out= keeps the order the expression had.
 
 def _step_em_batch(u: np.ndarray, dW: np.ndarray, dWt: np.ndarray,
                    cfg: SdeConfig, ops: GalerkinOps) -> np.ndarray:
@@ -299,23 +407,26 @@ def _step_em_batch(u: np.ndarray, dW: np.ndarray, dWt: np.ndarray,
 
 def _step_split_batch(u: np.ndarray, dW: np.ndarray, dWt: np.ndarray,
                       cfg: SdeConfig, ops: GalerkinOps) -> np.ndarray:
-    u = ops.rot * u
+    work = _work(u, ops)
+    # the engine hands a step's result back as it is, so `is` tells the states apart
+    out = work.states[u is work.states[0]]
+    np.multiply(ops.rot, u, out=out)
     if cfg.nonlinearity_enabled:
-        grid = ops.basis.synthesize(u)
-        phase = cfg.dt * modulus_power(grid, cfg.alpha)
-        # in place: `grid * np.exp(..)` becomes `exp * grid` once numpy reuses
-        # the temporary (256 KiB and up), and the complex product rounds
-        # differently, so a row would depend on the batch size
-        grid *= np.exp(-1j * phase)
-        u = ops.maskf * ops.basis.analyze(grid)
+        basis = ops.basis
+        basis.synthesize(out, out=work.grid, scratch=work.mid)
+        for _, g, scratch in work.chunks:
+            x = modulus_power(g, cfg.alpha)
+            x *= cfg.dt
+            g *= _unit_phase(x, scratch)
+        np.multiply(ops.maskf, basis.analyze(work.grid, out=out, scratch=work.mid), out=out)
     if cfg.beta != 0.0:
-        u *= ops.damp
+        out *= ops.damp
     if len(ops.b_eff):
-        u *= np.exp(-1j * (dW @ ops.b_eff))
-    g_inc = _g_increment(u, dWt, ops)
+        out *= _unit_phase(np.matmul(dW, ops.b_eff, out=work.phase), work.coef)
+    g_inc = _g_increment(out, dWt, ops, work)
     if g_inc is not None:
-        u += g_inc
-    return u
+        out += g_inc
+    return out
 
 
 _STEPPERS = {"ito_exp_em": _step_em_batch, "strat_split": _step_split_batch}
@@ -520,6 +631,13 @@ def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
     whole batch, and one draw per RNG block, of which each slice reads its
     rows.  So a row's result does not depend on the split.
 
+    Each slice steps in a StepWork of its own, made once per call: the split
+    stepper writes into it and returns one of its buffers, so a slice's last
+    state of a block lives in its StepWork until the calling thread joins
+    the slices into a new array.  A block never starts from a StepWork
+    buffer, and the replay steps with fresh ones.  Snapshots are observed a
+    chunk of rows at a time.
+
     Floating-point errors are ignored throughout, whatever the caller's
     np.errstate: a run fails only with BlowUpError.  The threads run the
     steps of each block and observe its snapshots; the calling thread checks
@@ -545,45 +663,57 @@ def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
     slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
     draw = _batch_noise(cfg, ops, [int(k) for k in streams])
 
-    def record(u: np.ndarray, rows: slice, i: int):
-        obs = _observe_batch(u, cfg, ops)
-        for name in OBSERVABLE_NAMES:
-            tables[name][rows, i] = obs[name]
+    def record(u: np.ndarray, rows: slice, i: int, chunks=(slice(None),)):
+        for chunk in chunks:
+            obs = _observe_batch(u[chunk], cfg, ops)
+            for name in OBSERVABLE_NAMES:
+                tables[name][rows, i][chunk] = obs[name]
         if states is not None:
             states[i, rows] = u
 
-    def advance(u: np.ndarray, rows: slice, step: int, incs: np.ndarray,
-                check: bool) -> np.ndarray:
+    def advance(u: np.ndarray, rows: slice, step: int, incs: np.ndarray, check: bool,
+                step_ops: GalerkinOps) -> np.ndarray:
         """Run the steps of one block on `rows` from u at `step`; check each one if asked."""
         for inc in incs:
-            u = stepper(u, inc[:, :nb], inc[:, nb:], cfg, ops)
+            u = stepper(u, inc[:, :nb], inc[:, nb:], cfg, step_ops)
             step += 1
             if check:
                 _check_rows(u, step, cfg, ops)
             i = snapset.get(step)
             if i is not None:
-                record(u, rows, i)
+                # a chunk of rows at a time: the grid temporaries of the
+                # observables stay small beside the slices' StepWork
+                record(u, rows, i, _row_chunks(len(u), ops.basis))
         return u
 
-    def fast(rows: slice, u: np.ndarray, step: int, incs: np.ndarray) -> np.ndarray:
-        """One unchecked block of the rows `rows` of the batch u; returns their last state."""
+    def fast(rows: slice, slice_ops: GalerkinOps, u: np.ndarray, step: int,
+             incs: np.ndarray) -> np.ndarray:
+        """One unchecked block of the rows `rows` of the batch u; returns their
+        last state, which may be a buffer of slice_ops.work."""
         with np.errstate(all="ignore"):     # pool threads do not inherit the caller's
-            return advance(u[rows], rows, step, incs[:, rows], False)
+            return advance(u[rows], rows, step, incs[:, rows], False, slice_ops)
 
+    # one StepWork per slice, never per thread: two slices that share a pool
+    # thread must not share the buffers their last states are in
+    slice_ops = [replace(ops, work=StepWork(rows.stop - rows.start, ops.basis))
+                 for rows in slices]
     pool = _workers(n - 1, os.getpid()) if n > 1 else None
     u = u0_batch.copy()
     with _blas_pinned(), np.errstate(all="ignore"):
         record(u, slice(None), 0)
         for step in range(0, cfg.n_steps, _RNG_BLOCK):
             incs = draw(min(_RNG_BLOCK, cfg.n_steps - step))
-            later = [pool.submit(fast, rows, u, step, incs) for rows in slices[1:]]
+            later = [pool.submit(fast, rows, sops, u, step, incs)
+                     for rows, sops in zip(slices[1:], slice_ops[1:])]
             try:
-                head = fast(slices[0], u, step, incs)
+                head = fast(slices[0], slice_ops[0], u, step, incs)
             finally:    # no slice outlives the call, also when this one raises
                 rest = [f.result() for f in later]
+            # a new array: a block starts from no slice's buffers
             end = np.concatenate([head] + rest)
             if not np.all(v_norm_sq(end, ops.basis) <= BLOWUP_V_NORM ** 2):
-                end = advance(u, slice(None), step, incs, True)    # the same increments
+                # the same increments, with fresh buffers per step
+                end = advance(u, slice(None), step, incs, True, ops)
             u = end
             del incs    # released before the next block is drawn
     return snap_steps * cfg.dt, tables, u, states

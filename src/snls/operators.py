@@ -37,11 +37,11 @@ from .spectral import (ConfigurationError, EigenBasis, SpectralField, check_leve
 G_VARIANTS = ("none", "additive", "linear_diagonal", "bounded_nemytskii")
 ALPHA_RULE = "a finite real exceeding 1"
 B_PROFILE_RULE = ("an expression in numbers, lambda, + - * / ** ^, parentheses, sqrt and "
-                  "exp, with finite multipliers and squared noise constants")
+                  "exp, with finite multipliers, squared noise constants and damping terms")
 G_VARIANT_RULE = f"one of {G_VARIANTS}"
 G_PARAMS_RULE = ("comma-separated reals, none for G variant 'none' and at least one for the "
                  "others (at most one per stored mode for additive and bounded_nemytskii), "
-                 "with finite squared noise constants")
+                 "with finite squared noise constants and damping terms")
 
 
 class OperatorError(ConfigurationError):

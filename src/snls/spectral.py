@@ -97,17 +97,25 @@ class AxisTransform:
     analysis: Tuple[np.ndarray, np.ndarray]   # grid values -> stored modes
 
 
-def _contract(x: np.ndarray, axis: int, mat: np.ndarray, mat_c: np.ndarray) -> np.ndarray:
-    """sum_i x[.., i, ..] mat[i, j] along `axis`: -1, or -2 of a C-ordered x.
+def _contract(x: np.ndarray, axis: int, mat: np.ndarray, mat_c: np.ndarray,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+    """sum_i x[.., i, ..] mat[i, j] along `axis`: -1, or -2 of a C-ordered x;
+    into out, a C-contiguous complex array of the result's size and any
+    shape, when given.
 
     A real mat on axis -2 multiplies the float64 view of x (re and im
     interleaved along the last axis), half the flops of a complex product.
     """
+    if out is not None:
+        shape = list(x.shape)
+        shape[axis] = mat.shape[1]
+        out = out.reshape(shape)
     if axis == -1:
-        return x @ mat_c
+        return np.matmul(x, mat_c, out=out)
     if np.iscomplexobj(mat):
-        return np.matmul(mat.T, x)
-    return np.matmul(mat.T, x.view(np.float64)).view(np.complex128)
+        return np.matmul(mat.T, x, out=out)
+    return np.matmul(mat.T, x.view(np.float64),
+                     out=None if out is None else out.view(np.float64)).view(np.complex128)
 
 
 @dataclass(frozen=True)
@@ -131,29 +139,43 @@ class EigenBasis:
     def n_modes(self) -> int:
         return len(self.mode_index_set)
 
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """Pointwise synthesis sum_k c_k h_k on the grid; batched over leading axes."""
+    def synthesize(self, coeffs: np.ndarray, out: Optional[np.ndarray] = None,
+                   scratch: Optional[np.ndarray] = None) -> np.ndarray:
+        """Pointwise synthesis sum_k c_k h_k on the grid; batched over leading axes.
+
+        out, when given, receives the grid values and has their shape; scratch,
+        on a 2-D basis, receives the values transformed along the last axis
+        only and is a C-contiguous complex array of their size, of any shape.
+        Neither may overlap coeffs.
+        """
         if coeffs.shape[-1] != self.n_modes:
             raise BasisError(
                 f"coefficient length {coeffs.shape[-1]} does not match basis with {self.n_modes} modes")
         x = np.asarray(coeffs, dtype=np.complex128)
         if self.dim == 1:
-            return x @ self.axes[0].synth[1]
+            return np.matmul(x, self.axes[0].synth[1], out=out)
         x = x.reshape(x.shape[:-1] + (self.modes_per_axis,) * self.dim)
-        for axis in range(-1, -self.dim - 1, -1):
-            x = _contract(x, axis, *self.axes[axis].synth)
+        # scratch takes the intermediate contractions (one on a 2-D basis), out the last
+        for axis, buf in zip(range(-1, -self.dim - 1, -1), (scratch,) * (self.dim - 1) + (out,)):
+            x = _contract(x, axis, *self.axes[axis].synth, out=buf)
         return x
 
-    def analyze(self, values: np.ndarray) -> np.ndarray:
-        """Quadrature inner products <f, h_k>; exact for band-limited f."""
+    def analyze(self, values: np.ndarray, out: Optional[np.ndarray] = None,
+                scratch: Optional[np.ndarray] = None) -> np.ndarray:
+        """Quadrature inner products <f, h_k>; exact for band-limited f.
+
+        out and scratch as in synthesize: out has the shape of the
+        coefficients, and scratch the size of the values transformed along the
+        last axis only.
+        """
         if values.shape[-self.dim:] != self.grid_shape:
             raise BasisError(
                 f"grid shape {values.shape[-self.dim:]} does not match basis grid {self.grid_shape}")
         x = np.asarray(values, dtype=np.complex128)
         if self.dim == 1:
-            return x @ self.axes[0].analysis[1]
-        for axis in range(-1, -self.dim - 1, -1):
-            x = _contract(x, axis, *self.axes[axis].analysis)
+            return np.matmul(x, self.axes[0].analysis[1], out=out)
+        for axis, buf in zip(range(-1, -self.dim - 1, -1), (scratch,) * (self.dim - 1) + (out,)):
+            x = _contract(x, axis, *self.axes[axis].analysis, out=buf)
         return x.reshape(x.shape[:-self.dim] + (self.n_modes,))
 
 

@@ -1,8 +1,9 @@
 """Self-check battery for the verify CLI mode.
 
 Each check measures one invariant on a small deterministic configuration and
-passes when measured <= tolerance.  The battery covers every module; it is
-meant to run in seconds, not to replace the test suite.
+passes when measured <= tolerance.  A measurement that is not finite, a
+crashed check's included, fails and is recorded as None.  The battery covers
+every module; it is meant to run in seconds, not to replace the test suite.
 """
 
 from __future__ import annotations
@@ -484,5 +485,6 @@ def run_verify() -> Tuple[List[Dict], int]:
         if status == "fail":
             n_failed += 1
         records.append({"name": name, "paper_ref": ref, "status": status,
-                        "measured": measured, "tolerance": tolerance})
+                        "measured": measured if math.isfinite(measured) else None,
+                        "tolerance": tolerance})
     return records, n_failed

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 from snls.cli import main
 from snls.config import config_checksum
 from snls.dynamics import CONFIG_KEYS, engine_info
+from snls.operators import B_PROFILE_RULE, G_PARAMS_RULE
 
 BASE_CFG = """
 domain.kind = torus1d
@@ -320,9 +322,10 @@ def test_invalid_overrides_exit_2_without_a_manifest(tmp_path, capsys, override)
      "dt = 1e-3": "dt = 1e-2", "t_final = 0.02": "t_final = 2"},
     # the next two overflow at step 1, inside the blow-up guard's own V-norm
     {"beta = 1.0": "beta = -700", "dt = 1e-3": "dt = 1", "t_final = 0.02": "t_final = 1"},
+    # the largest round B amplitude whose damping terms stay finite doubles
     {"scheme = strat_split": "scheme = ito_exp_em",
-     "noise.B.1.profile = 0.2": "noise.B.1.profile = 1e154"},
-], ids=["antidamped", "beta_-700", "B_1e154"])
+     "noise.B.1.profile = 0.2": "noise.B.1.profile = 9e153"},
+], ids=["antidamped", "beta_-700", "B_9e153"])
 def test_blow_up_exits_1(tmp_path, capsys, edits):
     text = BASE_CFG
     for old, new in edits.items():
@@ -333,6 +336,53 @@ def test_blow_up_exits_1(tmp_path, capsys, edits):
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: blow-up guard tripped at step "), err
+
+
+@pytest.mark.parametrize("edits, key, rule, value", [
+    # (alpha + 1)/2 ||B||^2_Lp = 2 x 1e308 overflows, though ||B||^2 = 1e308 does not
+    ({"noise.B.1.profile = 0.2": "noise.B.1.profile = 1e154"},
+     "noise.B.1.profile", B_PROFILE_RULE, "'1e154'"),
+    # each profile alone passes; the second takes the running sum past the largest double
+    ({"noise.B.count = 1": "noise.B.count = 2",
+      "noise.B.1.profile = 0.2": "noise.B.1.profile = 7e153\nnoise.B.2.profile = 7e153"},
+     "noise.B.2.profile", B_PROFILE_RULE, "'7e153'"),
+    # C1~^2 + C2~^2 = 2 x 1e308 overflows
+    ({"noise.G.params = 0.3": "noise.G.params = 1e154"},
+     "noise.G.params", G_PARAMS_RULE, "(1e+154,)"),
+], ids=["B_1e154", "second_B", "G_1e154"])
+def test_a_non_finite_damping_term_exits_2_before_any_output(tmp_path, capsys, edits, key,
+                                                             rule, value):
+    text = BASE_CFG
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    out = tmp_path / "o"
+    rc = main(["simulate", "--config", str(_write_cfg(tmp_path, text)), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"error: key {key!r}: expected {rule}, got {value}\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_the_json_outputs_are_strict(tmp_path, capsys, monkeypatch):
+    # a check that crashes and one that measures NaN fail and are written as
+    # null: no NaN or Infinity token, which strict JSON readers reject
+    def crash():
+        raise ZeroDivisionError("boom")
+    monkeypatch.setattr("snls.verify.CHECKS", [("crash", "ref", crash),
+                                                ("nan", "ref", lambda: (math.nan, 1.0)),
+                                                ("fine", "ref", lambda: (0.5, 1.0))])
+    out = tmp_path / "v"
+    assert main(["verify", "--out", str(out)]) == 1
+    assert "[fail] crash: measured none tolerance" in capsys.readouterr().out
+
+    def strict(token):
+        raise ValueError(f"non-strict JSON token {token}")
+    json.loads((out / "run_manifest.json").read_text(), parse_constant=strict)
+    lines = (out / "verify.json-lines").read_text().splitlines()
+    checks = [json.loads(line, parse_constant=strict) for line in lines[1:]]
+    assert [(c["status"], c["measured"]) for c in checks] == [
+        ("fail", None), ("fail", None), ("pass", 0.5)]
 
 
 @pytest.mark.parametrize("mode, name", [("simulate", "trajectory.csv"),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
@@ -197,6 +198,10 @@ def test_run_manifest_is_valid_json():
     assert body["config"]["radii"] == [1.0, 2.0, 4.0]
     assert body["constants"]["beta_condition_ok"] is True
     assert len(body["config_checksum"]) == 64
+    # strict JSON or nothing: a non-finite constant is an error, not an Infinity token
+    man.constants = dataclasses.replace(constants, damping_term_lp=math.inf)
+    with pytest.raises(ValueError, match="JSON compliant"):
+        man.to_json()
 
 
 # one value off each key's rule, as written in a config

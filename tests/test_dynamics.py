@@ -3,8 +3,11 @@
 import dataclasses
 import logging
 import math
+import sys
 import threading
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -900,3 +903,134 @@ def test_an_overflow_in_the_guard_ends_only_in_blow_up(knobs, strict):
         with pytest.raises(BlowUpError) as exc:
             simulate(cfg, u0)
     assert (exc.value.step, exc.value.v_norm, exc.value.path_index) == (1, math.inf, 0)
+
+
+# ---------------------------------------------------------------------------
+# the step workspace of a row slice
+
+def _nemytskii_2d(**kw):
+    """The equation of the ensemble_dirichlet2d benchmark: B on, Nemytskii G."""
+    return _cfg(**{**dict(domain_kind="dirichlet2d", modes_per_axis=32, galerkin_level=8,
+                          beta=1.0, nonlinearity_enabled=True,
+                          b_profiles=("0.2", "0.1/(1+lambda)"),
+                          g_variant="bounded_nemytskii", g_params=(0.3, 0.2)), **kw})
+
+
+def _rows_and_noise(cfg, ops, rows):
+    """A batch of `rows` rows and one step's dW and dW~ for it."""
+    u0 = default_initial(ops.basis, cfg.galerkin_level, mass=3.0).coeffs
+    batch = u0 * (1.0 + 0.1 * np.arange(rows))[:, None]
+    noise = np.random.default_rng(rows).standard_normal((rows, ops.B.n_modes + ops.G.n_modes))
+    return batch, 0.03 * noise[:, :ops.B.n_modes], 0.03 * noise[:, ops.B.n_modes:]
+
+
+def _largest_numpy_block(run):
+    """The largest numpy data block that run() allocates and holds across a
+    bytecode of any frame: every temporary of a numpy expression outlives the
+    bytecode that makes it."""
+    numpy_only = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    largest = [0]
+
+    def per_bytecode(frame, event, arg):
+        traces = tracemalloc.take_snapshot().filter_traces(numpy_only).traces
+        largest[0] = max([largest[0]] + [t.size for t in traces])
+        return per_bytecode
+
+    def per_frame(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return per_bytecode
+    tracing, tracer = tracemalloc.is_tracing(), sys.gettrace()
+    tracemalloc.stop()      # a fresh start traces only the blocks that run() makes
+    tracemalloc.start()
+    sys.settrace(per_frame)
+    try:
+        run()
+    finally:
+        sys.settrace(tracer)
+        if not tracing:
+            tracemalloc.stop()
+    return largest[0]
+
+
+def test_a_warm_step_allocates_no_block_beyond_the_chunk_scratch():
+    # every grid temporary of a step is one chunk of rows, at most the chunk
+    # scratch of complex grid values; every other array is in the workspace
+    cfg = _nemytskii_2d()
+    ops = build_operators(cfg)
+    work = dynamics.StepWork(32, ops.basis)
+    bound = max(scratch.nbytes for _, _, scratch in work.chunks)
+    assert bound < 128 * 1024 and len(work.chunks) > 1
+    step_ops = dataclasses.replace(ops, work=work)
+    u, dW, dWt = _rows_and_noise(cfg, ops, 32)
+    step = dynamics._STEPPERS[cfg.scheme]
+    u = step(u, dW, dWt, cfg, step_ops)
+    assert _largest_numpy_block(lambda: step(u, dW, dWt, cfg, step_ops)) <= bound
+
+
+def test_the_unit_phase_gives_the_bits_of_the_complex_exp():
+    # the split step takes cos and -sin from 1024 elements up and the complex
+    # exp below, so a row's bits would depend on its batch if the two differed
+    x = np.concatenate([[0.0, -0.0, 5e-324, -1e-300, 1e-8, np.pi, 1e6, -1e6],
+                        np.random.default_rng(0).standard_normal(4096) * 30.0])
+    for n in (dynamics._UNIT_PHASE_MIN - 1, len(x)):
+        got = dynamics._unit_phase(x[:n], np.empty(n, dtype=complex))
+        assert got.tobytes() == np.exp(-1j * x[:n]).tobytes(), n
+
+
+@pytest.mark.parametrize("rows", [1, 3, 9, 10])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_step_with_its_workspace_matches_a_fresh_one_and_spares_its_input(rows, scheme):
+    # chunks of 4 rows on this grid: 9 rows end in a lone row that joins the
+    # chunk before it, 10 rows in a partial chunk of 2
+    cfg = _nemytskii_2d(scheme=scheme)
+    ops = build_operators(cfg)
+    assert [c.stop - c.start for c in dynamics._row_chunks(10, ops.basis)] == [4, 4, 2]
+    u, dW, dWt = _rows_and_noise(cfg, ops, rows)
+    step = dynamics._STEPPERS[cfg.scheme]
+    step_ops = dataclasses.replace(ops, work=dynamics.StepWork(rows, ops.basis))
+    fresh, kept = u, u.copy()
+    for _ in range(3):     # from outside the workspace, then from its own states
+        with_work = step(u, dW, dWt, cfg, step_ops)
+        assert u.tobytes() == kept.tobytes()        # the input is never written
+        fresh = step(fresh, dW, dWt, cfg, ops)
+        assert with_work.tobytes() == fresh.tobytes()
+        u, kept = with_work, with_work.copy()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_row_of_a_step_does_not_depend_on_the_chunks_beside_it(scheme):
+    # three G amplitudes: the Nemytskii mix of a lone row would be a BLAS
+    # matrix-vector product, which rounds unlike the matrix-matrix product
+    cfg = _nemytskii_2d(scheme=scheme, g_params=(0.3, 0.2, 0.1))
+    ops = build_operators(cfg)
+    u, dW, dWt = _rows_and_noise(cfg, ops, 10)
+    step = dynamics._STEPPERS[cfg.scheme]
+    ten = step(u, dW, dWt, cfg, ops)
+    for rows in (9, 5, 3, 2):
+        assert step(u[:rows], dW[:rows], dWt[:rows], cfg, ops).tobytes() == ten[:rows].tobytes()
+
+
+@pytest.mark.parametrize("kind", BASIS_KINDS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("g_variant", ["none", "bounded_nemytskii"])
+def test_two_slices_on_one_pool_thread_keep_their_rows(kind, scheme, g_variant, monkeypatch):
+    # a 3-way split on a pool of one thread runs slices 1 and 2 on the same
+    # thread, one after the other; buffers kept per thread would hand slice 2
+    # the buffer that slice 1's last state is still in
+    cfg = _cfg(domain_kind=kind, modes_per_axis=8 if kind.endswith("2d") else 16,
+               scheme=scheme, beta=0.5, nonlinearity_enabled=True, t_final=0.005,
+               snapshot_stride=1, b_profiles=("0.1/(1+lambda)", "0.05"),
+               g_variant=g_variant, g_params=(0.3, 0.1) if g_variant != "none" else ())
+    ops = build_operators(cfg)
+    u0 = default_initial(ops.basis, cfg.galerkin_level, mass=3.0).coeffs
+    batch = u0 * (1.0 + 0.1 * np.arange(8))[:, None]
+    runs = []
+    with ThreadPoolExecutor(1) as pool:
+        monkeypatch.setattr(dynamics, "_workers", lambda n, pid: pool)
+        for n in (1, 3):
+            _threads(monkeypatch, n)
+            runs.append(integrate_paths(cfg, ops, batch, range(8), collect_states=True))
+    (_, tab1, u1, states1), (_, tab3, u3, states3) = runs
+    assert _same_bits(u3, u1) and _same_bits(states3, states1)
+    for name, table in tab1.items():
+        assert _same_bits(tab3[name], table), name

@@ -291,6 +291,23 @@ def test_transforms_of_strided_inputs_equal_the_contiguous_results(kind):
     assert np.array_equal(basis.analyze(grid_t), basis.analyze(grid_t.copy()))
 
 
+@pytest.mark.parametrize("kind", BASIS_KINDS)
+def test_transforms_into_buffers_give_the_bits_of_new_arrays(kind):
+    # out has the result's shape; scratch, a 2-D transform's values after its
+    # first axis, is flat here, since any C-contiguous array of the size serves
+    basis = make_basis(kind, small(kind))
+    rng = np.random.default_rng(8)
+    c = rng.standard_normal((3, basis.n_modes)) + 1j * rng.standard_normal((3, basis.n_modes))
+    grid = np.empty((3,) + basis.grid_shape, dtype=complex)
+    coef = np.empty((3, basis.n_modes), dtype=complex)
+    mid = np.empty(3 * basis.modes_per_axis * basis.grid_shape[-1], dtype=complex) \
+        if basis.dim == 2 else None
+    f = basis.synthesize(c, out=grid, scratch=mid)
+    assert np.shares_memory(f, grid) and f.tobytes() == basis.synthesize(c).tobytes()
+    back = basis.analyze(f, out=coef, scratch=mid)
+    assert np.shares_memory(back, coef) and back.tobytes() == basis.analyze(f).tobytes()
+
+
 @pytest.mark.parametrize("kind", ["torus1d", "torus2d", "dirichlet1d", "dirichlet2d",
                                   "neumann1d", "neumann2d"])
 @pytest.mark.parametrize("modes", [2, 8, 32])
