@@ -151,12 +151,14 @@ def _run(args) -> int:
     except OSError as exc:
         raise ConfigurationError(f"cannot create output directory {out}: {exc}") from exc
 
-    # rows of the engine batch each mode runs; verify runs batches of its own
-    rows = {"simulate": 1, "ensemble": min(cfg.paths, _ENSEMBLE_CHUNK),
-            "invariant": _FAMILY_SIZE}.get(args.mode)
+    # rows of the engine batches each mode runs: an ensemble's full chunks and
+    # its last one; verify runs batches of its own
+    batches = {"simulate": (1,), "invariant": (_FAMILY_SIZE,),
+               "ensemble": (min(cfg.paths, _ENSEMBLE_CHUNK),
+                            cfg.paths % _ENSEMBLE_CHUNK or _ENSEMBLE_CHUNK)}.get(args.mode, ())
     manifest = RunManifest(mode=args.mode, out_dir=str(out), tool_version=__version__,
                            config_checksum=checksum, cfg=cfg, constants=constants,
-                           engine=engine_info(rows, constants.grid_shape))
+                           engine=engine_info(batches, constants.grid_shape))
     _write(out / "run_manifest.json", [manifest.to_json()])
     for line in constants.lines():
         print(line)

@@ -276,8 +276,9 @@ class StepWork:
     use and kept for the integrate_paths call: at most 16 x rows x (3.5
     n_modes + grid points, plus modes_per_axis x grid points per axis on a 2-D
     basis) bytes, and a scratch of the grid points of the widest of `chunks`,
-    the row ranges the grid-pointwise stages run over.  A stepper that uses
-    none of them, as ito_exp_em without Nemytskii G, makes none.
+    the row ranges the grid-pointwise stages run over.  Both steppers use
+    them; a buffer that no stage of a config needs, as the grid without F and
+    Nemytskii G, is never made.
     """
 
     def __init__(self, rows: int, basis: EigenBasis):
@@ -294,7 +295,8 @@ class StepWork:
 
     @functools.cached_property
     def coef(self) -> np.ndarray:
-        """(rows, n_modes): the B phase factor, then the Nemytskii increment."""
+        """(rows, n_modes): a coefficient-space stage of a step, as P_n F(u), a
+        B factor or term, or the G increment."""
         return self._empty(self.basis.n_modes)
 
     @functools.cached_property
@@ -346,22 +348,22 @@ def _unit_phase(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _g_increment(u: np.ndarray, dWt: np.ndarray, ops: GalerkinOps,
-                 work: Optional[StepWork] = None) -> Optional[np.ndarray]:
-    """-i S_n G(S_n u) dW~ for a batch; None when G is off.  The Nemytskii
-    increment is the coef of work (by default _work(u, ops)), and it
-    overwrites that work's grid and mid."""
+                 work: StepWork) -> Optional[np.ndarray]:
+    """-i S_n G(S_n u) dW~ for a batch, in work.coef; None when G is off.  The
+    Nemytskii increment also overwrites work's grid and mid."""
     G = ops.G
     if G.variant == "none":
         return None
     if G.variant == "linear_diagonal":
         scal = dWt @ G.gammas
-        return -1j * scal[:, None] * (ops.w2 * u)
+        return np.multiply(-1j * scal[:, None], np.multiply(ops.w2, u, out=work.coef),
+                           out=work.coef)
     if G.variant == "additive":
-        return -1j * (dWt @ ops.g_additive_dressed)
+        inc = np.matmul(dWt, ops.g_additive_dressed, out=work.coef)
+        return np.multiply(-1j, inc, out=inc)
     # bounded_nemytskii: one synthesis of S_n u, one analysis of the mixed field;
     # sigma(z) * mix replaces z a chunk of rows at a time
     basis = ops.basis
-    work = work or _work(u, ops)
     z = basis.synthesize(np.multiply(ops.w, u, out=work.coef), out=work.grid,
                          scratch=work.mid)
     g_grids = G.g_grids.reshape(G.n_modes, -1)
@@ -371,38 +373,51 @@ def _g_increment(u: np.ndarray, dWt: np.ndarray, ops: GalerkinOps,
     return np.multiply(-1j * ops.w, inc, out=inc)
 
 
-def _nonlinear_coeffs(u: np.ndarray, ops: GalerkinOps, alpha: float) -> np.ndarray:
-    """P_n F(u) for a batch.
+def _nonlinear_coeffs(u: np.ndarray, ops: GalerkinOps, alpha: float,
+                      work: StepWork) -> np.ndarray:
+    """P_n F(u) for a batch, in work.coef; overwrites work's grid and mid.
 
     Exact on the band grid of make_basis when alpha is an odd integer at most
     2 * oversample - 1; otherwise F(u) is not band-limited and the quadrature
-    aliases.
+    aliases.  f_pointwise runs a chunk of rows at a time, the transforms on
+    the whole batch.
     """
-    grid = ops.basis.synthesize(u)
-    return ops.maskf * ops.basis.analyze(f_pointwise(grid, alpha))
+    basis = ops.basis
+    basis.synthesize(u, out=work.grid, scratch=work.mid)
+    for _, g, _ in work.chunks:
+        np.copyto(g, f_pointwise(g, alpha))
+    nl = basis.analyze(work.grid, out=work.coef, scratch=work.mid)
+    return np.multiply(ops.maskf, nl, out=nl)
 
 
-# The steppers never write into their input.  _step_split_batch writes into
-# the StepWork of ops (a fresh one when ops has none) and returns one of its
-# two states, the one its input is not, so a caller that keeps a step's
-# result past the next step must copy it.  _step_em_batch returns a new
-# array.  Complex products keep their operand order, since numpy's complex
-# multiply rounds a * b and b * a differently.  That includes the order numpy
-# picks itself: it evaluates `x * temporary` as `temporary *= x` from 256 KiB
-# up, so a product written with out= keeps the order the expression had.
+# The steppers never write into their input.  Each writes into the StepWork
+# of ops (a fresh one when ops has none) and returns one of its two states,
+# the one its input is not, so a caller that keeps a step's result past the
+# next step must copy it.  Complex products keep their operand order, since
+# numpy's complex multiply rounds a * b and b * a differently.  That includes
+# the order numpy picks itself: it evaluates `x * temporary` as `temporary *=
+# x` from 256 KiB up when the two have one shape, so a product written with
+# out= keeps the order the expression had.
 
 def _step_em_batch(u: np.ndarray, dW: np.ndarray, dWt: np.ndarray,
                    cfg: SdeConfig, ops: GalerkinOps) -> np.ndarray:
     dt = cfg.dt
-    incr = (ops.corr - cfg.beta) * u * dt
+    work = _work(u, ops)
+    # the engine hands a step's result back as it is, so `is` tells the states apart
+    incr = work.states[u is work.states[0]]
+    np.multiply(ops.corr - cfg.beta, u, out=incr)
+    incr *= dt
     if cfg.nonlinearity_enabled:
-        incr -= 1j * dt * _nonlinear_coeffs(u, ops, cfg.alpha)
+        nl = _nonlinear_coeffs(u, ops, cfg.alpha, work)
+        incr -= np.multiply(1j * dt, nl, out=nl)
     if len(ops.b_eff):
-        incr -= 1j * (dW @ ops.b_eff) * u
-    g_inc = _g_increment(u, dWt, ops)
+        lin = np.multiply(1j, np.matmul(dW, ops.b_eff, out=work.phase), out=work.coef)
+        incr -= np.multiply(lin, u, out=lin)
+    g_inc = _g_increment(u, dWt, ops, work)
     if g_inc is not None:
         incr += g_inc
-    return ops.rot * (u + incr)
+    # u + incr, then times rot: the result takes incr's buffer
+    return np.multiply(ops.rot, np.add(u, incr, out=incr), out=incr)
 
 
 def _step_split_batch(u: np.ndarray, dW: np.ndarray, dWt: np.ndarray,
@@ -437,7 +452,7 @@ def drift(u: SpectralField, cfg: SdeConfig, ops: GalerkinOps) -> SpectralField:
     c = u.coeffs[None, :]
     out = (-1j * ops.basis.a_eigs - cfg.beta + ops.corr) * c
     if cfg.nonlinearity_enabled:
-        out = out - 1j * _nonlinear_coeffs(c, ops, cfg.alpha)
+        out = out - 1j * _nonlinear_coeffs(c, ops, cfg.alpha, _work(c, ops))
     return SpectralField(out[0], ops.basis)
 
 
@@ -579,11 +594,13 @@ def engine_threads(rows: int, grid_shape: Sequence[int]) -> int:
     return max(1, min(_cores(), rows // 2, work // _THREAD_WORK))
 
 
-def engine_info(rows: Optional[int], grid_shape: Sequence[int]) -> Dict[str, object]:
-    """What the engine runs a batch of `rows` rows on, for the run manifest;
-    threads is None when no single batch size describes the run."""
+def engine_info(batches: Sequence[int], grid_shape: Sequence[int]) -> Dict[str, object]:
+    """What the engine runs batches of these row counts on, for the run
+    manifest; threads is None when no single count describes the run: the
+    batches take different counts, or there are none."""
+    counts = {engine_threads(rows, grid_shape) for rows in batches}
     return {"cpu_affinity": _cores(),
-            "threads": None if rows is None else engine_threads(rows, grid_shape),
+            "threads": counts.pop() if len(counts) == 1 else None,
             "blas_pinned": _openblas_threads() is not None}
 
 
@@ -631,12 +648,13 @@ def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
     whole batch, and one draw per RNG block, of which each slice reads its
     rows.  So a row's result does not depend on the split.
 
-    Each slice steps in a StepWork of its own, made once per call: the split
-    stepper writes into it and returns one of its buffers, so a slice's last
+    Each slice steps in a StepWork of its own, made once per call: both
+    steppers write into it and return one of its buffers, so a slice's last
     state of a block lives in its StepWork until the calling thread joins
     the slices into a new array.  A block never starts from a StepWork
-    buffer, and the replay steps with fresh ones.  Snapshots are observed a
-    chunk of rows at a time.
+    buffer, and the replay steps with fresh ones.  Every snapshot, the
+    initial one on the calling thread included, is observed a chunk of rows
+    at a time.
 
     Floating-point errors are ignored throughout, whatever the caller's
     np.errstate: a run fails only with BlowUpError.  The threads run the
@@ -663,8 +681,10 @@ def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
     slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
     draw = _batch_noise(cfg, ops, [int(k) for k in streams])
 
-    def record(u: np.ndarray, rows: slice, i: int, chunks=(slice(None),)):
-        for chunk in chunks:
+    def record(u: np.ndarray, rows: slice, i: int):
+        # a chunk of rows at a time: the grid temporaries of the observables
+        # stay small beside the slices' StepWork
+        for chunk in _row_chunks(len(u), ops.basis):
             obs = _observe_batch(u[chunk], cfg, ops)
             for name in OBSERVABLE_NAMES:
                 tables[name][rows, i][chunk] = obs[name]
@@ -681,9 +701,7 @@ def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
                 _check_rows(u, step, cfg, ops)
             i = snapset.get(step)
             if i is not None:
-                # a chunk of rows at a time: the grid temporaries of the
-                # observables stay small beside the slices' StepWork
-                record(u, rows, i, _row_chunks(len(u), ops.basis))
+                record(u, rows, i)
         return u
 
     def fast(rows: slice, slice_ops: GalerkinOps, u: np.ndarray, step: int,

@@ -12,7 +12,7 @@ import pytest
 
 from snls.cli import main
 from snls.config import config_checksum
-from snls.dynamics import CONFIG_KEYS, engine_info
+from snls.dynamics import CONFIG_KEYS, engine_info, engine_threads
 from snls.operators import B_PROFILE_RULE, G_PARAMS_RULE
 
 BASE_CFG = """
@@ -78,7 +78,7 @@ def test_simulate_writes_the_trajectory_contract(tmp_path):
     assert manifest["constants"]["band_modes"] == 11
     assert manifest["constants"]["alias_free"] is True
     # one row runs serial; the count comes from the function the engine calls
-    assert manifest["engine"] == engine_info(1, (21,))
+    assert manifest["engine"] == engine_info([1], (21,))
     assert manifest["engine"]["threads"] == 1
     assert manifest["engine"]["cpu_affinity"] == len(os.sched_getaffinity(0))
 
@@ -155,6 +155,20 @@ def test_ensemble_columns_and_singleton_equality(tmp_path):
     assert all(float(r[i_var]) == 0.0 for r in rows)
     man = json.loads((out_e / "run_manifest.json").read_text())
     assert man["config"]["paths"] == 1
+
+
+@pytest.mark.parametrize("paths", [2049, 4096])
+def test_the_manifest_names_a_thread_count_only_when_every_chunk_runs_on_it(tmp_path, paths):
+    # an ensemble runs its paths in chunks of 2048: 2049 paths end in a chunk
+    # of one path, which runs serial, so no one count describes the run
+    cfg = _write_cfg(tmp_path, BASE_CFG)
+    out = tmp_path / "out"
+    assert main(["ensemble", "--config", str(cfg), "--out", str(out),
+                 "--paths", str(paths)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    counts = {engine_threads(2048, (21,)), engine_threads(paths - 2048, (21,))}
+    assert manifest["engine"]["threads"] == (counts.pop() if len(counts) == 1 else None)
+    assert manifest["engine"] == engine_info([2048, paths - 2048], (21,))
 
 
 def test_ensemble_smg_precondition_failure_exits_2(tmp_path):

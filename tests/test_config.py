@@ -190,7 +190,7 @@ def test_run_manifest_is_valid_json():
     constants = compute_constants(cfg)
     man = RunManifest(mode="simulate", out_dir="/tmp/x", tool_version="0.1.0",
                       config_checksum=config_checksum(GOOD), cfg=cfg, constants=constants,
-                      engine=engine_info(1, constants.grid_shape))
+                      engine=engine_info([1], constants.grid_shape))
     body = json.loads(man.to_json())
     assert body["mode"] == "simulate"
     assert body["engine"]["threads"] == 1

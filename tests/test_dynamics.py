@@ -952,16 +952,30 @@ def _largest_numpy_block(run):
     return largest[0]
 
 
-def test_a_warm_step_allocates_no_block_beyond_the_chunk_scratch():
+def _equation(dim, g_variant, **kw):
+    """The equation of ensemble_dirichlet2d (dim 2) or of ensemble_torus1d with
+    B on (dim 1), with G of the given variant, and the rows of one engine
+    slice of its benchmark: 32 and 1024."""
+    g = dict(g_variant=g_variant, g_params=(0.3, 0.2) if g_variant != "none" else ())
+    if dim == 2:
+        return _nemytskii_2d(**g, **kw), 32
+    return _cfg(**{**dict(modes_per_axis=32, beta=1.0, nonlinearity_enabled=True,
+                          b_profiles=("0.2", "0.1/(1+lambda)")), **g, **kw}), 1024
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("g_variant", ["linear_diagonal", "additive", "bounded_nemytskii"])
+def test_a_warm_step_allocates_no_block_beyond_the_chunk_scratch(dim, scheme, g_variant):
     # every grid temporary of a step is one chunk of rows, at most the chunk
     # scratch of complex grid values; every other array is in the workspace
-    cfg = _nemytskii_2d()
+    cfg, rows = _equation(dim, g_variant, scheme=scheme)
     ops = build_operators(cfg)
-    work = dynamics.StepWork(32, ops.basis)
+    work = dynamics.StepWork(rows, ops.basis)
     bound = max(scratch.nbytes for _, _, scratch in work.chunks)
     assert bound < 128 * 1024 and len(work.chunks) > 1
     step_ops = dataclasses.replace(ops, work=work)
-    u, dW, dWt = _rows_and_noise(cfg, ops, 32)
+    u, dW, dWt = _rows_and_noise(cfg, ops, rows)
     step = dynamics._STEPPERS[cfg.scheme]
     u = step(u, dW, dWt, cfg, step_ops)
     assert _largest_numpy_block(lambda: step(u, dW, dWt, cfg, step_ops)) <= bound
@@ -979,10 +993,12 @@ def test_the_unit_phase_gives_the_bits_of_the_complex_exp():
 
 @pytest.mark.parametrize("rows", [1, 3, 9, 10])
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_a_step_with_its_workspace_matches_a_fresh_one_and_spares_its_input(rows, scheme):
+@pytest.mark.parametrize("g_variant", G_VARIANTS)
+def test_a_step_with_its_workspace_matches_a_fresh_one_and_spares_its_input(rows, scheme,
+                                                                            g_variant):
     # chunks of 4 rows on this grid: 9 rows end in a lone row that joins the
     # chunk before it, 10 rows in a partial chunk of 2
-    cfg = _nemytskii_2d(scheme=scheme)
+    cfg, _ = _equation(2, g_variant, scheme=scheme)
     ops = build_operators(cfg)
     assert [c.stop - c.start for c in dynamics._row_chunks(10, ops.basis)] == [4, 4, 2]
     u, dW, dWt = _rows_and_noise(cfg, ops, rows)

@@ -5,7 +5,8 @@ import pytest
 
 from snls import spectral
 from snls.config import compute_constants
-from snls.dynamics import SdeConfig, _nonlinear_coeffs, build_operators, state_functionals
+from snls.dynamics import (SdeConfig, StepWork, _nonlinear_coeffs, build_operators,
+                           state_functionals)
 from snls.operators import f_pointwise, sharp_projector, smoothed_projector
 from snls.spectral import (
     BASIS_KINDS,
@@ -359,7 +360,7 @@ def test_band_cubic_on_the_engine_grid_equals_a_4x_finer_grid(kind, modes, level
     u = _flat_band_field(ops.basis, level)
     fine = make_basis(kind, modes, 4 * cfg.oversample, level)
     assert math.prod(fine.grid_shape) > 3 ** ops.basis.dim * math.prod(ops.basis.grid_shape)
-    got = _nonlinear_coeffs(u[None], ops, 3.0)[0]
+    got = _nonlinear_coeffs(u[None], ops, 3.0, StepWork(1, ops.basis))[0]
     assert _rel(got, _band_cubic(fine, u, level)) < 1e-12
     assert compute_constants(cfg).alias_free
 

@@ -7,15 +7,18 @@ each hashed by `tobytes()`, on this grid:
     6 kinds x 2 schemes x 4 G variants x B off/on
     x {1 row, 6 distinct keys, 6 shared keys, a threaded batch},
 
-plus, on the 2-D kinds, a second threaded batch of 404 rows, with 270 steps,
-so that every run crosses an RNG block. The threaded batch has 3000 rows on
+plus a second threaded batch on the 2-D kinds, of 404 rows, and on torus1d,
+of 1562 rows, with 270 steps, so that every run crosses an RNG block. The threaded batch has 3000 rows on
 1-D kinds and 400 on 2-D kinds, which splits it over the engine's row
 threads wherever the machine has two cores or more. Split in two, the 404
 rows are slices of 202, which the grid-pointwise stages of a step run over in
 row chunks of at most 128 KiB of grid values: a slice ends in a shorter
 chunk on dirichlet2d (81, 81, 40 rows) and torus2d (5 x 36, then 22), and
 in a lone row that joins the chunk before it on neumann2d (67, 67, 68); rows
-p and p + 202 share a key. The digest
+p and p + 202 share a key. The 1562 rows are slices of 781, which end in
+such a lone row on torus1d's 21-point grid (390, 391), and rows p and p + 781
+share a key; there the chunks are those of `f_pointwise` in `ito_exp_em` and
+of the nonlinear phase in `strat_split`. The digest
 also covers the `BlowUpError` fields of a serial and a threaded runaway,
 each once tripping in block 0 and once in block 1, and of a threaded
 runaway with shared keys and linear-diagonal noise (3000 rows, keys
@@ -30,7 +33,7 @@ its parent. Run it on each tree:
     PYTHONPATH=<tree>/src python3 tools/engine_digest.py
 
 It reads only public API, so it runs against older checkouts too. It takes
-about 100 s on a 2-core VM. The digest depends on numpy's kernels and the
+about 100–120 s on a 2-core VM. The digest depends on numpy's kernels and the
 CPU, so compare two trees only on the same machine and environment.
 """
 
@@ -44,22 +47,23 @@ from snls.dynamics import integrate_paths
 
 STEPS = 270                  # past the first RNG block of 256 steps
 THREADED_ROWS = {1: 3000, 2: 400}
-CHUNKED_ROWS = 404           # 2-D kinds only; see the docstring
+CHUNKED_ROWS = {"dirichlet2d": 404, "neumann2d": 404, "torus2d": 404, "torus1d": 1562}
 # ito_exp_em at beta = -30, dt = 1e-2 multiplies the state by 1.3 per step
 RUNAWAY = dict(domain_kind="torus1d", modes_per_axis=16, scheme="ito_exp_em", beta=-30.0,
                dt=1e-2, t_final=STEPS * 1e-2, snapshot_stride=9, nonlinearity_enabled=False)
 
 
-def _batches(dim: int):
+def _batches(kind: str, dim: int):
     """(row amplitudes, noise keys) of the batches of a kind of dimension dim."""
     rows = THREADED_ROWS[dim]
     batches = [([1.0], [0]),
                (1.0 + 0.1 * np.arange(6), list(range(6))),
                (1.0 + 0.1 * np.arange(6), [0, 1, 2] * 2),
                (1.0 + 1e-4 * np.arange(rows), [p % (rows // 3) for p in range(rows)])]
-    if dim == 2:
-        batches.append((1.0 + 1e-4 * np.arange(CHUNKED_ROWS),
-                        [p % (CHUNKED_ROWS // 2) for p in range(CHUNKED_ROWS)]))
+    chunked = CHUNKED_ROWS.get(kind)
+    if chunked is not None:
+        batches.append((1.0 + 1e-4 * np.arange(chunked),
+                        [p % (chunked // 2) for p in range(chunked)]))
     return batches
 
 
@@ -106,7 +110,7 @@ def main() -> None:
                         b_profiles=("0.1/(1+lambda)", "0.05") if b_on else (),
                         g_variant=g_variant,
                         g_params=(0.3, 0.1) if g_variant != "none" else ())
-                    for amplitudes, keys in _batches(dim):
+                    for amplitudes, keys in _batches(kind, dim):
                         _hash_run(h, cfg, amplitudes, keys)
     # trips in block 0 (step 96) and in block 1 (step 263)
     for rows, amplitudes in ((6, {1: 1e-3, 4: 1e-4}), (6, {2: 1e-22}),
