@@ -275,15 +275,19 @@ class StepWork:
     """The buffers the steps of one row slice write into, each made at its first
     use and kept for the integrate_paths call: at most 16 x rows x (3.5
     n_modes + grid points, plus modes_per_axis x grid points per axis on a 2-D
-    basis) bytes, and a scratch of the grid points of the widest of `chunks`,
-    the row ranges the grid-pointwise stages run over.  Both steppers use
-    them; a buffer that no stage of a config needs, as the grid without F and
-    Nemytskii G, is never made.
+    basis) bytes, a scratch of the grid points of the widest of `chunks`,
+    the row ranges the grid-pointwise stages run over, and `pending`, the
+    coefficients of the widest of `groups`, the ranges of the slice's
+    snapshot rows that are observed together.  Both steppers use them; a
+    buffer that no stage of a config needs, as the grid without F and
+    Nemytskii G, or the scratch of ito_exp_em without Nemytskii G, is never
+    made.
     """
 
-    def __init__(self, rows: int, basis: EigenBasis):
+    def __init__(self, rows: int, basis: EigenBasis, snapshots: int = 1):
         self.rows = rows
         self.basis = basis
+        self.snapshots = snapshots
 
     def _empty(self, *shape: int, dtype=np.complex128) -> np.ndarray:
         return np.empty((self.rows,) + shape, dtype=dtype)
@@ -316,15 +320,31 @@ class StepWork:
         return self._empty(basis.modes_per_axis * basis.grid_shape[-1]) if basis.dim > 1 else None
 
     @functools.cached_property
-    def chunks(self) -> Tuple[Tuple[slice, np.ndarray, np.ndarray], ...]:
-        """(rows, their grid values, a scratch of that shape) per row chunk, each
-        (chunk rows, grid points); every scratch is a view of one complex array."""
+    def grid_chunks(self) -> Tuple[Tuple[slice, np.ndarray], ...]:
+        """(rows, their grid values) per row chunk, each (chunk rows, grid points)."""
         points = self.grid.reshape(self.rows, -1)
-        chunks = _row_chunks(self.rows, self.basis)
-        scratch = np.empty(max((c.stop - c.start for c in chunks), default=0) * points.shape[1],
+        return tuple((c, points[c]) for c in _row_chunks(self.rows, self.basis))
+
+    @functools.cached_property
+    def chunks(self) -> Tuple[Tuple[slice, np.ndarray, np.ndarray], ...]:
+        """grid_chunks, each with a scratch of its shape; every scratch is a view
+        of one complex array, made only by the stages that read this."""
+        scratch = np.empty(max((g.size for _, g in self.grid_chunks), default=0),
                            dtype=np.complex128)
-        return tuple((c, points[c], scratch[:points[c].size].reshape(points[c].shape))
-                     for c in chunks)
+        return tuple((c, g, scratch[:g.size].reshape(g.shape)) for c, g in self.grid_chunks)
+
+    @functools.cached_property
+    def groups(self) -> Tuple[slice, ...]:
+        """_row_chunks of the slice's snapshot sequence, its (snapshot, row) pairs
+        in step order: the entries that integrate_paths observes together."""
+        return _row_chunks(self.snapshots * self.rows, self.basis)
+
+    @functools.cached_property
+    def pending(self) -> np.ndarray:
+        """(widest of groups, n_modes): the rows of a group recorded while it is
+        incomplete; made only when a group crosses a snapshot boundary."""
+        return np.empty((max(g.stop - g.start for g in self.groups), self.basis.n_modes),
+                        dtype=np.complex128)
 
 
 def _work(u: np.ndarray, ops: GalerkinOps) -> StepWork:
@@ -384,7 +404,7 @@ def _nonlinear_coeffs(u: np.ndarray, ops: GalerkinOps, alpha: float,
     """
     basis = ops.basis
     basis.synthesize(u, out=work.grid, scratch=work.mid)
-    for _, g, _ in work.chunks:
+    for _, g in work.grid_chunks:
         np.copyto(g, f_pointwise(g, alpha))
     nl = basis.analyze(work.grid, out=work.coef, scratch=work.mid)
     return np.multiply(ops.maskf, nl, out=nl)
@@ -630,6 +650,52 @@ def _workers(n: int, pid: int):
     return ThreadPoolExecutor(n)
 
 
+class _RowSlice:
+    """One row slice of an integrate_paths batch: its rows, the ops it steps
+    with, which carry its StepWork, and its snapshot sequence.
+
+    The slice's snapshots are observed as one sequence of (snapshot, row)
+    pairs in step order, which work.groups cuts into _observe_batch calls.  A
+    group is observed as soon as its last row is recorded: where the state is
+    when the group lies inside one snapshot, else from work.pending, which
+    holds the rows of the group in progress.  A block's replay records its
+    snapshots again, with the bits they had: that rewrites rows of the group
+    in progress and observes no group twice.
+    """
+
+    def __init__(self, rows: slice, cfg: SdeConfig, ops: GalerkinOps,
+                 tables: Dict[str, np.ndarray], states: Optional[np.ndarray]):
+        self.rows = rows
+        self.cfg = cfg
+        self.ops = ops
+        # (n_snap, slice rows) views: entry j of the sequence is .flat[j]
+        self.tables = {name: table[rows].T for name, table in tables.items()}
+        self.states = None if states is None else states[:, rows]
+        self.next = 0       # the first group not yet observed
+
+    def record(self, u: np.ndarray, i: int) -> None:
+        """Snapshot i of the slice, u of shape (slice rows, n_modes)."""
+        work = self.ops.work
+        groups = work.groups
+        a, b = i * len(u), (i + 1) * len(u)
+        if self.states is not None:
+            self.states[i] = u
+        while self.next < len(groups) and groups[self.next].start < b:
+            g = groups[self.next]
+            if a <= g.start and g.stop <= b:
+                rows = u[g.start - a:g.stop - a]
+            else:
+                lo, hi = max(g.start, a), min(g.stop, b)
+                work.pending[lo - g.start:hi - g.start] = u[lo - a:hi - a]
+                if g.stop > b:
+                    return
+                rows = work.pending[:g.stop - g.start]
+            obs = _observe_batch(rows, self.cfg, self.ops)
+            for name, seq in self.tables.items():
+                seq.flat[g] = obs[name]
+            self.next += 1
+
+
 def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
                     streams: Sequence[int], collect_states: bool = False):
     """Advance a batch of paths in lockstep, sampling observables on the stride grid.
@@ -652,9 +718,11 @@ def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
     steppers write into it and return one of its buffers, so a slice's last
     state of a block lives in its StepWork until the calling thread joins
     the slices into a new array.  A block never starts from a StepWork
-    buffer, and the replay steps with fresh ones.  Every snapshot, the
-    initial one on the calling thread included, is observed a chunk of rows
-    at a time.
+    buffer, and the replay steps with fresh ones.  A slice observes its
+    snapshots, the initial one first, in groups of rows that may cross
+    snapshots (_RowSlice): one _observe_batch call per 128 KiB of grid
+    values, not one per snapshot.  The calling thread records the initial
+    snapshot and a replay's snapshots through the slices' groups.
 
     Floating-point errors are ignored throughout, whatever the caller's
     np.errstate: a run fails only with BlowUpError.  The threads run the
@@ -678,22 +746,21 @@ def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
     nb = ops.B.n_modes
     n = engine_threads(P, ops.basis.grid_shape)
     bounds = [P * i // n for i in range(n + 1)]
-    slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
     draw = _batch_noise(cfg, ops, [int(k) for k in streams])
+    # one StepWork per slice, never per thread: two slices that share a pool
+    # thread must not share the buffers their last states are in
+    parts = [_RowSlice(slice(a, b), cfg,
+                       replace(ops, work=StepWork(b - a, ops.basis, len(snap_steps))),
+                       tables, states)
+             for a, b in zip(bounds, bounds[1:])]
 
-    def record(u: np.ndarray, rows: slice, i: int):
-        # a chunk of rows at a time: the grid temporaries of the observables
-        # stay small beside the slices' StepWork
-        for chunk in _row_chunks(len(u), ops.basis):
-            obs = _observe_batch(u[chunk], cfg, ops)
-            for name in OBSERVABLE_NAMES:
-                tables[name][rows, i][chunk] = obs[name]
-        if states is not None:
-            states[i, rows] = u
+    def record_all(u: np.ndarray, i: int):
+        for part in parts:
+            part.record(u[part.rows], i)
 
-    def advance(u: np.ndarray, rows: slice, step: int, incs: np.ndarray, check: bool,
-                step_ops: GalerkinOps) -> np.ndarray:
-        """Run the steps of one block on `rows` from u at `step`; check each one if asked."""
+    def advance(u: np.ndarray, step: int, incs: np.ndarray, check: bool,
+                step_ops: GalerkinOps, record) -> np.ndarray:
+        """Run the steps of one block from u at `step`; check each one if asked."""
         for inc in incs:
             u = stepper(u, inc[:, :nb], inc[:, nb:], cfg, step_ops)
             step += 1
@@ -701,37 +768,32 @@ def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
                 _check_rows(u, step, cfg, ops)
             i = snapset.get(step)
             if i is not None:
-                record(u, rows, i)
+                record(u, i)
         return u
 
-    def fast(rows: slice, slice_ops: GalerkinOps, u: np.ndarray, step: int,
-             incs: np.ndarray) -> np.ndarray:
-        """One unchecked block of the rows `rows` of the batch u; returns their
-        last state, which may be a buffer of slice_ops.work."""
+    def fast(part: _RowSlice, u: np.ndarray, step: int, incs: np.ndarray) -> np.ndarray:
+        """One unchecked block of the part's rows of the batch u; returns their
+        last state, which may be a buffer of part.ops.work."""
         with np.errstate(all="ignore"):     # pool threads do not inherit the caller's
-            return advance(u[rows], rows, step, incs[:, rows], False, slice_ops)
+            return advance(u[part.rows], step, incs[:, part.rows], False, part.ops,
+                           part.record)
 
-    # one StepWork per slice, never per thread: two slices that share a pool
-    # thread must not share the buffers their last states are in
-    slice_ops = [replace(ops, work=StepWork(rows.stop - rows.start, ops.basis))
-                 for rows in slices]
     pool = _workers(n - 1, os.getpid()) if n > 1 else None
     u = u0_batch.copy()
     with _blas_pinned(), np.errstate(all="ignore"):
-        record(u, slice(None), 0)
+        record_all(u, 0)
         for step in range(0, cfg.n_steps, _RNG_BLOCK):
             incs = draw(min(_RNG_BLOCK, cfg.n_steps - step))
-            later = [pool.submit(fast, rows, sops, u, step, incs)
-                     for rows, sops in zip(slices[1:], slice_ops[1:])]
+            later = [pool.submit(fast, part, u, step, incs) for part in parts[1:]]
             try:
-                head = fast(slices[0], slice_ops[0], u, step, incs)
+                head = fast(parts[0], u, step, incs)
             finally:    # no slice outlives the call, also when this one raises
                 rest = [f.result() for f in later]
             # a new array: a block starts from no slice's buffers
             end = np.concatenate([head] + rest)
             if not np.all(v_norm_sq(end, ops.basis) <= BLOWUP_V_NORM ** 2):
                 # the same increments, with fresh buffers per step
-                end = advance(u, slice(None), step, incs, True, ops)
+                end = advance(u, step, incs, True, ops, record_all)
             u = end
             del incs    # released before the next block is drawn
     return snap_steps * cfg.dt, tables, u, states

@@ -860,7 +860,7 @@ def test_the_engine_checks_the_v_norm_once_per_rng_block(monkeypatch):
 @pytest.mark.parametrize("kind", BASIS_KINDS)
 def test_the_guard_and_the_tables_read_the_same_norms(kind):
     # one definition per norm: the guard's v_norm_sq, h_norm_sq and lp_power
-    # of a snapshot, a batch of one as in the engine, are the table's bits
+    # of the snapshots, one batch as in the engine, are the table's bits
     cfg = _cfg(domain_kind=kind, modes_per_axis=8 if kind.endswith("2d") else 16,
                beta=0.5, nonlinearity_enabled=True, t_final=0.1, snapshot_stride=1,
                b_profiles=("0.2", "0.1/(1+lambda)"), g_variant="bounded_nemytskii",
@@ -868,12 +868,81 @@ def test_the_guard_and_the_tables_read_the_same_norms(kind):
     basis = build_operators(cfg).basis
     rec = simulate(cfg, default_initial(basis, cfg.galerkin_level, mass=3.0),
                    collect_states=True)
-    rows = rec.states[:, None]
+    rows = rec.states
     p = cfg.alpha + 1.0
-    assert np.array_equal(v_norm_sq(rows, basis)[:, 0], rec.table["v_norm_sq"])
-    assert np.array_equal(h_norm_sq(rows)[:, 0], rec.table["mass"])
-    assert np.array_equal(lp_power(rows, basis, p)[:, 0] ** (1.0 / p),
-                          rec.table["l_alpha1_norm"])
+    assert np.array_equal(v_norm_sq(rows, basis), rec.table["v_norm_sq"])
+    assert np.array_equal(h_norm_sq(rows), rec.table["mass"])
+    assert np.array_equal(lp_power(rows, basis, p) ** (1.0 / p), rec.table["l_alpha1_norm"])
+
+
+def test_snapshots_are_observed_in_groups_that_cross_snapshots_and_blocks(monkeypatch):
+    # the shape of snls invariant: 3 rows on key 0, default.cfg's equation; 301
+    # snapshots of 3 rows are groups of 390, 390 and 123 rows on the 21-point
+    # grid, which start and end inside snapshots and span RNG blocks
+    cfg = _cfg(galerkin_level=4, beta=1.0, t_final=3.0, seed=7, nonlinearity_enabled=True,
+               b_profiles=("0.2", "0.1/(1+lambda)"), g_variant="linear_diagonal",
+               g_params=(0.3, 0.2))
+    ops = build_operators(cfg)
+    batch = np.array([f.coeffs for _, f in default_initial_family(ops.basis, 4)])
+    n_snap = len(dynamics._snapshot_steps(cfg))
+    groups = dynamics._row_chunks(n_snap * 3, ops.basis)
+    assert [g.stop - g.start for g in groups] == [390, 390, 123]
+    calls, observe = [], dynamics._observe_batch
+
+    def counted(u, *args):
+        calls.append(len(u))
+        return observe(u, *args)
+    monkeypatch.setattr(dynamics, "_observe_batch", counted)
+    _, tables, _, states = integrate_paths(cfg, ops, batch, [0, 0, 0], collect_states=True)
+    assert calls == [390, 390, 123]
+    # a row's bits do not depend on its group: each snapshot observed on its own
+    monkeypatch.setattr(dynamics, "_observe_batch", observe)
+    for i, snap in enumerate(states):
+        obs = observe(snap, cfg, ops)
+        for name, table in tables.items():
+            assert _same_bits(table[:, i], obs[name]), (i, name)
+
+
+@pytest.mark.parametrize("kind", ["torus1d", "dirichlet2d"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_threaded_run_at_stride_one_matches_the_serial_one(kind, scheme, monkeypatch):
+    # 300 snapshots of 5 rows, split 2 + 3 on two threads: every slice's groups
+    # cross snapshots and the RNG block, at other entries than the serial run's
+    cfg = _cfg(domain_kind=kind, modes_per_axis=8 if kind.endswith("2d") else 16,
+               scheme=scheme, beta=0.5, nonlinearity_enabled=True, t_final=0.3,
+               snapshot_stride=1, b_profiles=("0.1/(1+lambda)", "0.05"),
+               g_variant="bounded_nemytskii", g_params=(0.3, 0.1))
+    ops = build_operators(cfg)
+    u0 = default_initial(ops.basis, cfg.galerkin_level, mass=3.0).coeffs
+    batch = u0 * (1.0 + 0.1 * np.arange(5))[:, None]
+    runs = []
+    for n in (1, 2):
+        _threads(monkeypatch, n)
+        runs.append(integrate_paths(cfg, ops, batch, [0, 1, 2, 0, 1], collect_states=True))
+    (_, tab1, u1, states1), (_, tab2, u2, states2) = runs
+    assert _same_bits(u2, u1) and _same_bits(states2, states1)
+    for name, table in tab1.items():
+        assert _same_bits(tab2[name], table), name
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_replay_that_passes_records_the_tables_of_a_run_without_one(threads, monkeypatch):
+    # with the per-step check switched off, every block from the trip on is
+    # replayed to its end and records its snapshots a second time, among them
+    # rows of groups that began before the block
+    cfg, ops, amp = _linear_runaway(100)
+    cfg = dataclasses.replace(cfg, snapshot_stride=1)
+    batch = np.array([0.5 * amp, amp, 0.9 * amp, 0.0 * amp])
+    _threads(monkeypatch, threads)
+    monkeypatch.setattr(dynamics, "BLOWUP_V_NORM", math.inf)
+    plain = integrate_paths(cfg, ops, batch, range(4), collect_states=True)
+    monkeypatch.undo()
+    _threads(monkeypatch, threads)
+    monkeypatch.setattr(dynamics, "_check_rows", lambda *args: None)
+    replayed = integrate_paths(cfg, ops, batch, range(4), collect_states=True)
+    assert _same_bits(replayed[2], plain[2]) and _same_bits(replayed[3], plain[3])
+    for name, table in plain[1].items():
+        assert _same_bits(replayed[1][name], table), name
 
 
 def test_floating_point_errors_in_a_block_that_passes_are_not_raised():
@@ -979,6 +1048,21 @@ def test_a_warm_step_allocates_no_block_beyond_the_chunk_scratch(dim, scheme, g_
     step = dynamics._STEPPERS[cfg.scheme]
     u = step(u, dW, dWt, cfg, step_ops)
     assert _largest_numpy_block(lambda: step(u, dW, dWt, cfg, step_ops)) <= bound
+
+
+@pytest.mark.parametrize("scheme, g_variant, scratch", [
+    ("ito_exp_em", "linear_diagonal", False), ("ito_exp_em", "bounded_nemytskii", True),
+    ("strat_split", "linear_diagonal", True)])
+def test_the_chunk_scratch_is_made_only_by_a_stage_that_uses_it(scheme, g_variant, scratch):
+    # ito_exp_em runs f_pointwise over the chunks' grid values and needs no
+    # scratch unless the Nemytskii increment mixes in one
+    cfg, rows = _equation(1, g_variant, scheme=scheme)
+    ops = build_operators(cfg)
+    work = dynamics.StepWork(rows, ops.basis)
+    u, dW, dWt = _rows_and_noise(cfg, ops, rows)
+    dynamics._STEPPERS[cfg.scheme](u, dW, dWt, cfg, dataclasses.replace(ops, work=work))
+    assert "grid_chunks" in work.__dict__
+    assert ("chunks" in work.__dict__) == scratch
 
 
 def test_the_unit_phase_gives_the_bits_of_the_complex_exp():
