@@ -196,7 +196,7 @@ class GalerkinOps:
     rot: np.ndarray              # exp(-i a_k dt)
     damp: float                  # exp(-beta dt)
     g_additive_dressed: Optional[np.ndarray]   # w * g_m, shape (M~, n_modes)
-    work: Optional["StepWork"] = None   # a row slice's buffers, set by integrate_paths
+    work: Optional["StepWork"] = None   # the steppers' buffers, set by their caller
 
 
 def build_operators(cfg: SdeConfig, basis: Optional[EigenBasis] = None) -> GalerkinOps:
@@ -272,22 +272,19 @@ def _row_chunks(rows: int, basis: EigenBasis) -> Tuple[slice, ...]:
 
 
 class StepWork:
-    """The buffers the steps of one row slice write into, each made at its first
-    use and kept for the integrate_paths call: at most 16 x rows x (3.5
-    n_modes + grid points, plus modes_per_axis x grid points per axis on a 2-D
-    basis) bytes, a scratch of the grid points of the widest of `chunks`,
-    the row ranges the grid-pointwise stages run over, and `pending`, the
-    coefficients of the widest of `groups`, the ranges of the slice's
-    snapshot rows that are observed together.  Both steppers use them; a
-    buffer that no stage of a config needs, as the grid without F and
-    Nemytskii G, or the scratch of ito_exp_em without Nemytskii G, is never
-    made.
+    """The buffers the steps of a batch of `rows` rows write into, each made at
+    its first use and kept for as long as its owner steps: at most 16 x rows x
+    (3.5 n_modes + grid points, plus modes_per_axis x grid points per axis on
+    a 2-D basis) bytes, a scratch of the grid points of the widest of
+    `chunks`, and the row ranges the grid-pointwise stages run over.  Both
+    steppers use them; a buffer that no stage of a config needs, as the grid
+    without F and Nemytskii G, or the scratch of ito_exp_em without Nemytskii
+    G, is never made.
     """
 
-    def __init__(self, rows: int, basis: EigenBasis, snapshots: int = 1):
+    def __init__(self, rows: int, basis: EigenBasis):
         self.rows = rows
         self.basis = basis
-        self.snapshots = snapshots
 
     def _empty(self, *shape: int, dtype=np.complex128) -> np.ndarray:
         return np.empty((self.rows,) + shape, dtype=dtype)
@@ -332,27 +329,6 @@ class StepWork:
         scratch = np.empty(max((g.size for _, g in self.grid_chunks), default=0),
                            dtype=np.complex128)
         return tuple((c, g, scratch[:g.size].reshape(g.shape)) for c, g in self.grid_chunks)
-
-    @functools.cached_property
-    def groups(self) -> Tuple[slice, ...]:
-        """_row_chunks of the slice's snapshot sequence, its (snapshot, row) pairs
-        in step order: the entries that integrate_paths observes together."""
-        return _row_chunks(self.snapshots * self.rows, self.basis)
-
-    @functools.cached_property
-    def pending(self) -> np.ndarray:
-        """(widest of groups, n_modes): the rows of a group recorded while it is
-        incomplete; made only when a group crosses a snapshot boundary."""
-        return np.empty((max(g.stop - g.start for g in self.groups), self.basis.n_modes),
-                        dtype=np.complex128)
-
-
-def _work(u: np.ndarray, ops: GalerkinOps) -> StepWork:
-    """ops.work when it was made for u's rows, else a fresh StepWork."""
-    work = ops.work
-    if work is None or work.rows != len(u):
-        work = StepWork(len(u), ops.basis)
-    return work
 
 
 def _unit_phase(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -410,8 +386,8 @@ def _nonlinear_coeffs(u: np.ndarray, ops: GalerkinOps, alpha: float,
     return np.multiply(ops.maskf, nl, out=nl)
 
 
-# The steppers never write into their input.  Each writes into the StepWork
-# of ops (a fresh one when ops has none) and returns one of its two states,
+# The steppers never write into their input.  Each writes into ops.work, a
+# StepWork of u's rows that its caller sets, and returns one of its two states,
 # the one its input is not, so a caller that keeps a step's result past the
 # next step must copy it.  Complex products keep their operand order, since
 # numpy's complex multiply rounds a * b and b * a differently.  That includes
@@ -422,7 +398,7 @@ def _nonlinear_coeffs(u: np.ndarray, ops: GalerkinOps, alpha: float,
 def _step_em_batch(u: np.ndarray, dW: np.ndarray, dWt: np.ndarray,
                    cfg: SdeConfig, ops: GalerkinOps) -> np.ndarray:
     dt = cfg.dt
-    work = _work(u, ops)
+    work = ops.work
     # the engine hands a step's result back as it is, so `is` tells the states apart
     incr = work.states[u is work.states[0]]
     np.multiply(ops.corr - cfg.beta, u, out=incr)
@@ -442,7 +418,7 @@ def _step_em_batch(u: np.ndarray, dW: np.ndarray, dWt: np.ndarray,
 
 def _step_split_batch(u: np.ndarray, dW: np.ndarray, dWt: np.ndarray,
                       cfg: SdeConfig, ops: GalerkinOps) -> np.ndarray:
-    work = _work(u, ops)
+    work = ops.work
     # the engine hands a step's result back as it is, so `is` tells the states apart
     out = work.states[u is work.states[0]]
     np.multiply(ops.rot, u, out=out)
@@ -472,7 +448,7 @@ def drift(u: SpectralField, cfg: SdeConfig, ops: GalerkinOps) -> SpectralField:
     c = u.coeffs[None, :]
     out = (-1j * ops.basis.a_eigs - cfg.beta + ops.corr) * c
     if cfg.nonlinearity_enabled:
-        out = out - 1j * _nonlinear_coeffs(c, ops, cfg.alpha, _work(c, ops))
+        out = out - 1j * _nonlinear_coeffs(c, ops, cfg.alpha, StepWork(1, ops.basis))
     return SpectralField(out[0], ops.basis)
 
 
@@ -651,32 +627,43 @@ def _workers(n: int, pid: int):
 
 
 class _RowSlice:
-    """One row slice of an integrate_paths batch: its rows, the ops it steps
-    with, which carry its StepWork, and its snapshot sequence.
+    """One row slice of an integrate_paths batch for one call: its rows, the
+    ops it steps with, which carry the StepWork made for it here, its views
+    of the tables and states, and its snapshot sequence.
 
-    The slice's snapshots are observed as one sequence of (snapshot, row)
-    pairs in step order, which work.groups cuts into _observe_batch calls.  A
-    group is observed as soon as its last row is recorded: where the state is
-    when the group lies inside one snapshot, else from work.pending, which
-    holds the rows of the group in progress.  A block's replay records its
-    snapshots again, with the bits they had: that rewrites rows of the group
-    in progress and observes no group twice.
+    advance runs the slice's rows through one block of steps without a check
+    and records the block's snapshots.  They are observed as one sequence of
+    (snapshot, row) pairs in step order, the initial snapshot first, which
+    groups cuts into _observe_batch calls.  A group is observed as soon as
+    its last row is recorded: where the state is when the group lies inside
+    one snapshot, else from pending, which holds the rows of the group in
+    progress.
     """
 
     def __init__(self, rows: slice, cfg: SdeConfig, ops: GalerkinOps,
-                 tables: Dict[str, np.ndarray], states: Optional[np.ndarray]):
+                 tables: Dict[str, np.ndarray], states: Optional[np.ndarray],
+                 snapset: Dict[int, int]):
+        n = rows.stop - rows.start
         self.rows = rows
         self.cfg = cfg
-        self.ops = ops
+        self.ops = replace(ops, work=StepWork(n, ops.basis))
+        self.snapset = snapset
         # (n_snap, slice rows) views: entry j of the sequence is .flat[j]
         self.tables = {name: table[rows].T for name, table in tables.items()}
         self.states = None if states is None else states[:, rows]
+        self.groups = _row_chunks(len(snapset) * n, ops.basis)
         self.next = 0       # the first group not yet observed
+
+    @functools.cached_property
+    def pending(self) -> np.ndarray:
+        """(widest of groups, n_modes): the rows of a group recorded while it is
+        incomplete; made only when a group crosses a snapshot boundary."""
+        return np.empty((max(g.stop - g.start for g in self.groups), self.ops.basis.n_modes),
+                        dtype=np.complex128)
 
     def record(self, u: np.ndarray, i: int) -> None:
         """Snapshot i of the slice, u of shape (slice rows, n_modes)."""
-        work = self.ops.work
-        groups = work.groups
+        groups = self.groups
         a, b = i * len(u), (i + 1) * len(u)
         if self.states is not None:
             self.states[i] = u
@@ -686,14 +673,45 @@ class _RowSlice:
                 rows = u[g.start - a:g.stop - a]
             else:
                 lo, hi = max(g.start, a), min(g.stop, b)
-                work.pending[lo - g.start:hi - g.start] = u[lo - a:hi - a]
+                self.pending[lo - g.start:hi - g.start] = u[lo - a:hi - a]
                 if g.stop > b:
                     return
-                rows = work.pending[:g.stop - g.start]
+                rows = self.pending[:g.stop - g.start]
             obs = _observe_batch(rows, self.cfg, self.ops)
             for name, seq in self.tables.items():
                 seq.flat[g] = obs[name]
             self.next += 1
+
+    def advance(self, u: np.ndarray, step: int, incs: np.ndarray) -> np.ndarray:
+        """One unchecked block of the slice's rows of the batch u at `step`;
+        returns their last state, which may be a buffer of ops.work."""
+        cfg, ops = self.cfg, self.ops
+        stepper = _STEPPERS[cfg.scheme]
+        nb = ops.B.n_modes
+        u = u[self.rows]
+        with np.errstate(all="ignore"):     # pool threads do not inherit the caller's
+            for inc in incs[:, self.rows]:
+                u = stepper(u, inc[:, :nb], inc[:, nb:], cfg, ops)
+                step += 1
+                i = self.snapset.get(step)
+                if i is not None:
+                    self.record(u, i)
+        return u
+
+
+def _replay(u: np.ndarray, step: int, incs: np.ndarray, cfg: SdeConfig,
+            ops: GalerkinOps) -> None:
+    """Run the block of increments incs from the whole batch u at `step`
+    again, in one StepWork, with _check_rows after every step.  It records
+    nothing: the slices have recorded the block with the same bits, and the
+    tables of a run that raises are discarded."""
+    stepper = _STEPPERS[cfg.scheme]
+    nb = ops.B.n_modes
+    ops = replace(ops, work=StepWork(len(u), ops.basis))
+    for inc in incs:
+        u = stepper(u, inc[:, :nb], inc[:, nb:], cfg, ops)
+        step += 1
+        _check_rows(u, step, cfg, ops)
 
 
 def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
@@ -707,31 +725,30 @@ def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
     (times, tables, final batch, states), where states is (n_snap, P,
     n_modes) when collect_states is set and None otherwise.
 
-    A large batch runs as contiguous row slices, one per engine_threads
-    thread: the first on the calling thread, the others on a pool that the
-    process keeps, with OpenBLAS held at one thread for the call.  The
-    calling thread owns the noise: one driver per distinct key for the
-    whole batch, and one draw per RNG block, of which each slice reads its
-    rows.  So a row's result does not depend on the split.
+    A large batch runs as contiguous row slices (_RowSlice), one per
+    engine_threads thread: the first on the calling thread, the others on a
+    pool that the process keeps, with OpenBLAS held at one thread for the
+    call.  The calling thread owns the noise: one driver per distinct key
+    for the whole batch, and one draw per RNG block, of which each slice
+    reads its rows.  So a row's result does not depend on the split.
 
     Each slice steps in a StepWork of its own, made once per call: both
     steppers write into it and return one of its buffers, so a slice's last
     state of a block lives in its StepWork until the calling thread joins
     the slices into a new array.  A block never starts from a StepWork
-    buffer, and the replay steps with fresh ones.  A slice observes its
-    snapshots, the initial one first, in groups of rows that may cross
-    snapshots (_RowSlice): one _observe_batch call per 128 KiB of grid
-    values, not one per snapshot.  The calling thread records the initial
-    snapshot and a replay's snapshots through the slices' groups.
+    buffer.  A slice observes its snapshots, the initial one first, in
+    groups of rows that may cross snapshots: one _observe_batch call per
+    128 KiB of grid values, not one per snapshot.  The calling thread
+    records the initial snapshot through the slices.
 
     Floating-point errors are ignored throughout, whatever the caller's
     np.errstate: a run fails only with BlowUpError.  The threads run the
     steps of each block and observe its snapshots; the calling thread checks
     the blow-up rule on the block's last state of the whole batch and, when
     it trips, replays the block from the same increments with _check_rows
-    after every step.  Non-finite values stay non-finite, so the error names
-    what a check after every step would, except that a row that exceeds
-    BLOWUP_V_NORM and falls back below it within one block passes.
+    after every step (_replay).  Non-finite values stay non-finite, so the
+    error names what a check after every step would, except that a row that
+    exceeds BLOWUP_V_NORM and falls back below it within one block passes.
     """
     P = u0_batch.shape[0]
     if len(streams) != P:
@@ -742,58 +759,29 @@ def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
     tables = {name: np.empty((P, len(snap_steps))) for name in OBSERVABLE_NAMES}
     states = np.empty((len(snap_steps), P, ops.basis.n_modes), dtype=np.complex128) \
         if collect_states else None
-    stepper = _STEPPERS[cfg.scheme]
-    nb = ops.B.n_modes
     n = engine_threads(P, ops.basis.grid_shape)
     bounds = [P * i // n for i in range(n + 1)]
     draw = _batch_noise(cfg, ops, [int(k) for k in streams])
     # one StepWork per slice, never per thread: two slices that share a pool
     # thread must not share the buffers their last states are in
-    parts = [_RowSlice(slice(a, b), cfg,
-                       replace(ops, work=StepWork(b - a, ops.basis, len(snap_steps))),
-                       tables, states)
+    parts = [_RowSlice(slice(a, b), cfg, ops, tables, states, snapset)
              for a, b in zip(bounds, bounds[1:])]
-
-    def record_all(u: np.ndarray, i: int):
-        for part in parts:
-            part.record(u[part.rows], i)
-
-    def advance(u: np.ndarray, step: int, incs: np.ndarray, check: bool,
-                step_ops: GalerkinOps, record) -> np.ndarray:
-        """Run the steps of one block from u at `step`; check each one if asked."""
-        for inc in incs:
-            u = stepper(u, inc[:, :nb], inc[:, nb:], cfg, step_ops)
-            step += 1
-            if check:
-                _check_rows(u, step, cfg, ops)
-            i = snapset.get(step)
-            if i is not None:
-                record(u, i)
-        return u
-
-    def fast(part: _RowSlice, u: np.ndarray, step: int, incs: np.ndarray) -> np.ndarray:
-        """One unchecked block of the part's rows of the batch u; returns their
-        last state, which may be a buffer of part.ops.work."""
-        with np.errstate(all="ignore"):     # pool threads do not inherit the caller's
-            return advance(u[part.rows], step, incs[:, part.rows], False, part.ops,
-                           part.record)
-
     pool = _workers(n - 1, os.getpid()) if n > 1 else None
     u = u0_batch.copy()
     with _blas_pinned(), np.errstate(all="ignore"):
-        record_all(u, 0)
+        for part in parts:
+            part.record(u[part.rows], 0)
         for step in range(0, cfg.n_steps, _RNG_BLOCK):
             incs = draw(min(_RNG_BLOCK, cfg.n_steps - step))
-            later = [pool.submit(fast, part, u, step, incs) for part in parts[1:]]
+            later = [pool.submit(part.advance, u, step, incs) for part in parts[1:]]
             try:
-                head = fast(parts[0], u, step, incs)
+                head = parts[0].advance(u, step, incs)
             finally:    # no slice outlives the call, also when this one raises
                 rest = [f.result() for f in later]
             # a new array: a block starts from no slice's buffers
             end = np.concatenate([head] + rest)
             if not np.all(v_norm_sq(end, ops.basis) <= BLOWUP_V_NORM ** 2):
-                # the same increments, with fresh buffers per step
-                end = advance(u, step, incs, True, ops, record_all)
+                _replay(u, step, incs, cfg, ops)
             u = end
             del incs    # released before the next block is drawn
     return snap_steps * cfg.dt, tables, u, states

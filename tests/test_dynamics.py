@@ -674,6 +674,12 @@ def test_without_the_blas_symbols_the_engine_runs_serial(monkeypatch):
 # ---------------------------------------------------------------------------
 # the blow-up guard, checked once per RNG block
 
+def _fresh_step(u, dW, dWt, cfg, ops):
+    """One call of the scheme's stepper in a fresh StepWork of u's rows."""
+    step_ops = dataclasses.replace(ops, work=dynamics.StepWork(len(u), ops.basis))
+    return dynamics._STEPPERS[cfg.scheme](u, dW, dWt, cfg, step_ops)
+
+
 def _per_step_reference(cfg, ops, u0_batch, streams):
     """The engine as a plain loop: one gather of the increments and one check
     of the blow-up rule after every step.  integrate_paths must reproduce its
@@ -702,7 +708,7 @@ def _per_step_reference(cfg, ops, u0_batch, streams):
         inc = np.stack([d.increments(block) for d in drivers])
         for i in range(block):
             row_inc = inc[slots, i]
-            u = dynamics._STEPPERS[cfg.scheme](u, row_inc[:, :nb], row_inc[:, nb:], cfg, ops)
+            u = _fresh_step(u, row_inc[:, :nb], row_inc[:, nb:], cfg, ops)
             step += 1
             vsq = v_norm_sq(u, ops.basis)
             bad = ~np.isfinite(vsq)
@@ -794,6 +800,40 @@ def test_a_batch_builds_one_driver_per_key_and_draws_each_block_once(threads, ke
 
 
 @pytest.mark.parametrize("threads", [1, 2])
+def test_a_tripped_block_builds_one_workspace_and_observes_nothing_again(threads,
+                                                                         monkeypatch):
+    # a trip at step 300 falls in block 1 of 2: one StepWork per slice and one
+    # for the replay of the whole block, which checks every step and makes no
+    # observe call once it has begun
+    cfg, ops, amp = _linear_runaway(300)
+    batch = np.array([0.0 * amp, 0.5 * amp, amp, 0.0 * amp])
+    ref = _error(lambda: _per_step_reference(cfg, ops, batch, range(4)))
+    made, events = [0], []
+    observe, check = dynamics._observe_batch, dynamics._check_rows
+
+    class Counted(dynamics.StepWork):
+        def __init__(self, *args):
+            made[0] += 1
+            super().__init__(*args)
+
+    def observed(*args):
+        events.append("observe")
+        return observe(*args)
+
+    def checked(*args):
+        events.append("check")
+        return check(*args)
+    monkeypatch.setattr(dynamics, "StepWork", Counted)
+    monkeypatch.setattr(dynamics, "_observe_batch", observed)
+    monkeypatch.setattr(dynamics, "_check_rows", checked)
+    _threads(monkeypatch, threads)
+    assert _error(lambda: integrate_paths(cfg, ops, batch, range(4))) == ref
+    assert ref[0] == 300 and made[0] == threads + 1
+    replay = events.index("check")
+    assert "observe" in events[:replay] and "observe" not in events[replay:]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
 def test_a_row_going_non_finite_mid_block_is_named(threads, monkeypatch):
     # the stepper poisons a row once its mass passes 1e4, far below the V-norm
     # threshold: row 1 turns to NaN at step 18 while rows 0, 2 and 3 stay finite
@@ -824,7 +864,7 @@ def test_a_runaway_that_overflows_later_in_the_block_still_ends_in_blow_up(threa
     with np.errstate(all="ignore"):
         u = batch
         for _ in range(dynamics._RNG_BLOCK):
-            u = dynamics._STEPPERS[cfg.scheme](u, np.zeros((4, 0)), np.zeros((4, 0)), cfg, ops)
+            u = _fresh_step(u, np.zeros((4, 0)), np.zeros((4, 0)), cfg, ops)
     assert not np.all(np.isfinite(u))
     ref = _error(lambda: _per_step_reference(cfg, ops, batch, range(4)))
     assert ref[3] == 1 and ref[2] < math.inf and ref[0] < dynamics._RNG_BLOCK
@@ -928,8 +968,8 @@ def test_a_threaded_run_at_stride_one_matches_the_serial_one(kind, scheme, monke
 @pytest.mark.parametrize("threads", [1, 2])
 def test_a_replay_that_passes_records_the_tables_of_a_run_without_one(threads, monkeypatch):
     # with the per-step check switched off, every block from the trip on is
-    # replayed to its end and records its snapshots a second time, among them
-    # rows of groups that began before the block
+    # replayed to its end, which records nothing: the tables and states are
+    # the slices', and the run goes on from their last states
     cfg, ops, amp = _linear_runaway(100)
     cfg = dataclasses.replace(cfg, snapshot_stride=1)
     batch = np.array([0.5 * amp, amp, 0.9 * amp, 0.0 * amp])
@@ -1092,7 +1132,7 @@ def test_a_step_with_its_workspace_matches_a_fresh_one_and_spares_its_input(rows
     for _ in range(3):     # from outside the workspace, then from its own states
         with_work = step(u, dW, dWt, cfg, step_ops)
         assert u.tobytes() == kept.tobytes()        # the input is never written
-        fresh = step(fresh, dW, dWt, cfg, ops)
+        fresh = _fresh_step(fresh, dW, dWt, cfg, ops)
         assert with_work.tobytes() == fresh.tobytes()
         u, kept = with_work, with_work.copy()
 
@@ -1104,10 +1144,10 @@ def test_a_row_of_a_step_does_not_depend_on_the_chunks_beside_it(scheme):
     cfg = _nemytskii_2d(scheme=scheme, g_params=(0.3, 0.2, 0.1))
     ops = build_operators(cfg)
     u, dW, dWt = _rows_and_noise(cfg, ops, 10)
-    step = dynamics._STEPPERS[cfg.scheme]
-    ten = step(u, dW, dWt, cfg, ops)
+    ten = _fresh_step(u, dW, dWt, cfg, ops)
     for rows in (9, 5, 3, 2):
-        assert step(u[:rows], dW[:rows], dWt[:rows], cfg, ops).tobytes() == ten[:rows].tobytes()
+        got = _fresh_step(u[:rows], dW[:rows], dWt[:rows], cfg, ops)
+        assert got.tobytes() == ten[:rows].tobytes()
 
 
 @pytest.mark.parametrize("kind", BASIS_KINDS)
