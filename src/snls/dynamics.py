@@ -276,15 +276,25 @@ class StepWork:
     its first use and kept for as long as its owner steps: at most 16 x rows x
     (3.5 n_modes + grid points, plus modes_per_axis x grid points per axis on
     a 2-D basis) bytes, a scratch of the grid points of the widest of
-    `chunks`, and the row ranges the grid-pointwise stages run over.  Both
-    steppers use them; a buffer that no stage of a config needs, as the grid
-    without F and Nemytskii G, or the scratch of ito_exp_em without Nemytskii
-    G, is never made.
+    `chunks`, the row ranges the grid-pointwise stages run over, and at most
+    _CHUNK_BYTES of noise tables.  Both steppers use them; a buffer that no
+    stage of a config needs, as the grid without F and Nemytskii G, or the
+    scratch of ito_exp_em without Nemytskii G, is never made.
+
+    A caller hands a block of increments over with `fed`.  The tables then
+    hold the noise-only factors (B, linear-diagonal or additive G) of as many
+    next steps of the block as fit in _CHUNK_BYTES, refilled when a step
+    finds them used up, and each stepper call reads the next step's row.
+    Where fewer than two steps fit, and in a call with no block, a step
+    computes its factors from its dW and dWt, as a block of one step.
     """
 
     def __init__(self, rows: int, basis: EigenBasis):
         self.rows = rows
         self.basis = basis
+        self.incs = None        # the fed block
+        self.row = None         # the tables' row of the current step, or None
+        self.tables = None      # (real scratch, B table, G table), made at the first load
 
     def _empty(self, *shape: int, dtype=np.complex128) -> np.ndarray:
         return np.empty((self.rows,) + shape, dtype=dtype)
@@ -330,6 +340,74 @@ class StepWork:
                            dtype=np.complex128)
         return tuple((c, g, scratch[:g.size].reshape(g.shape)) for c, g in self.grid_chunks)
 
+    @contextlib.contextmanager
+    def fed(self, incs: np.ndarray):
+        """The next len(incs) stepper calls step the block of increments incs,
+        (steps, rows, n_B + n_G), and take their noise factors from its
+        tables; the block is let go on exit."""
+        self.incs, self.next, self.lo, self.hi = incs, 0, 0, 0
+        try:
+            yield
+        finally:
+            self.incs = self.row = None
+
+    def _make_tables(self, ops: GalerkinOps) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The tables of as many steps as fit in _CHUNK_BYTES, at most the fed
+        block's, or of none where fewer than two fit.  A step takes 16 bytes
+        a row per complex factor, n_modes for B, one for linear-diagonal and
+        n_modes for additive G, and 8 per real product the factors are made
+        from: n_modes with B on, else one with linear-diagonal G."""
+        n = self.basis.n_modes
+        b = n if len(ops.b_eff) else 0
+        g = {"linear_diagonal": 1, "additive": n}.get(ops.G.variant, 0)
+        real = b or (g if ops.G.variant == "linear_diagonal" else 0)
+        per_step = self.rows * (16 * (b + g) + 8 * real)
+        steps = min(_CHUNK_BYTES // per_step, len(self.incs)) if per_step else 0
+        if steps < 2:
+            steps = 0
+        return (np.empty(steps * self.rows * real),
+                np.empty((steps, self.rows, b), dtype=np.complex128),
+                np.empty((steps, self.rows, g), dtype=np.complex128))
+
+    def take_step(self, ops: GalerkinOps, em: bool) -> None:
+        """Start a stepper call: point `row` at its step's factors, loading the
+        tables when they are used up; None without a block or tables."""
+        if self.incs is None:
+            return
+        step, self.next = self.next, self.next + 1
+        if step >= self.hi:
+            self._load(step, ops, em)
+        self.row = step - self.lo if step < self.hi else None
+
+    def _load(self, step: int, ops: GalerkinOps, em: bool) -> None:
+        """Fill the tables with the factors of the fed block's steps from `step` on."""
+        if self.tables is None:
+            self.tables = self._make_tables(ops)
+        real, b, g = self.tables
+        self.lo, self.hi = step, min(step + len(b), len(self.incs))
+        m, nb = self.hi - step, ops.B.n_modes
+        block = self.incs[step:self.hi]
+        if m and b.shape[2]:
+            _b_factors(block[..., :nb], ops, em, real[:b[:m].size].reshape(b[:m].shape), b[:m])
+        if m and g.shape[2]:
+            lin = ops.G.variant == "linear_diagonal"
+            _g_factors(block[..., nb:], ops,
+                       real[:m * self.rows].reshape(m, self.rows) if lin else None, g[:m])
+
+    def b_factor(self, dW: np.ndarray, ops: GalerkinOps, em: bool) -> np.ndarray:
+        """This step's B unit phase (strat_split) or term (ito_exp_em), (rows, n_modes)."""
+        if self.row is not None:
+            return self.tables[1][self.row]
+        return _b_factors(dW[None], ops, em, self.phase[None], self.coef[None])[0]
+
+    def g_factor(self, dWt: np.ndarray, ops: GalerkinOps) -> np.ndarray:
+        """This step's linear-diagonal G column, (rows, 1), or additive G
+        increment, (rows, n_modes)."""
+        if self.row is not None:
+            return self.tables[2][self.row]
+        out = self.coef[None] if ops.G.variant == "additive" else None
+        return _g_factors(dWt[None], ops, None, out)[0]
+
 
 def _unit_phase(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """e^{-ix} for real x, into the complex array out of x's shape: cos(x) into
@@ -343,20 +421,44 @@ def _unit_phase(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _b_factors(dW: np.ndarray, ops: GalerkinOps, em: bool, real: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """The B factor of each step of the increments dW, (steps, rows, n_B), in
+    out of shape (steps, rows, n_modes), through real of that shape: the term
+    1j dW @ b_eff of ito_exp_em, or the unit phase e^{-i dW @ b_eff} of
+    strat_split.  The product is a stack of per-step products, so a step gets
+    the bits of a call on its own increments; a product over the steps x rows
+    flattened would not, since a one-row product is a matrix-vector one."""
+    x = np.matmul(dW, ops.b_eff, out=real)
+    return np.multiply(1j, x, out=out) if em else _unit_phase(x, out)
+
+
+def _g_factors(dWt: np.ndarray, ops: GalerkinOps, real: Optional[np.ndarray],
+               out: Optional[np.ndarray]) -> np.ndarray:
+    """The G factor of each step of the increments dWt, (steps, rows, n_G),
+    in out (allocated when None): the column -1j dWt @ gamma of
+    linear-diagonal G, (steps, rows, 1), through real of shape (steps, rows),
+    or the increment -1j dWt @ (w g) of additive G, (steps, rows, n_modes)."""
+    if ops.G.variant == "linear_diagonal":
+        scal = np.matmul(dWt, ops.G.gammas, out=real)
+        return np.multiply(-1j, scal[..., None], out=out)
+    inc = np.matmul(dWt, ops.g_additive_dressed, out=out)
+    return np.multiply(-1j, inc, out=inc)
+
+
 def _g_increment(u: np.ndarray, dWt: np.ndarray, ops: GalerkinOps,
                  work: StepWork) -> Optional[np.ndarray]:
-    """-i S_n G(S_n u) dW~ for a batch, in work.coef; None when G is off.  The
-    Nemytskii increment also overwrites work's grid and mid."""
+    """-i S_n G(S_n u) dW~ for a batch, in work.coef, or work's g_factor for
+    additive G; None when G is off.  The Nemytskii increment mixes dWt per
+    step and also overwrites work's grid and mid."""
     G = ops.G
     if G.variant == "none":
         return None
     if G.variant == "linear_diagonal":
-        scal = dWt @ G.gammas
-        return np.multiply(-1j * scal[:, None], np.multiply(ops.w2, u, out=work.coef),
+        return np.multiply(work.g_factor(dWt, ops), np.multiply(ops.w2, u, out=work.coef),
                            out=work.coef)
     if G.variant == "additive":
-        inc = np.matmul(dWt, ops.g_additive_dressed, out=work.coef)
-        return np.multiply(-1j, inc, out=inc)
+        return work.g_factor(dWt, ops)
     # bounded_nemytskii: one synthesis of S_n u, one analysis of the mixed field;
     # sigma(z) * mix replaces z a chunk of rows at a time
     basis = ops.basis
@@ -389,16 +491,20 @@ def _nonlinear_coeffs(u: np.ndarray, ops: GalerkinOps, alpha: float,
 # The steppers never write into their input.  Each writes into ops.work, a
 # StepWork of u's rows that its caller sets, and returns one of its two states,
 # the one its input is not, so a caller that keeps a step's result past the
-# next step must copy it.  Complex products keep their operand order, since
-# numpy's complex multiply rounds a * b and b * a differently.  That includes
-# the order numpy picks itself: it evaluates `x * temporary` as `temporary *=
-# x` from 256 KiB up when the two have one shape, so a product written with
-# out= keeps the order the expression had.
+# next step must copy it.  Each call is the next step of the block fed to
+# ops.work, if any: it takes that step's B and G factors from the work's
+# tables, else it computes them from its dW and dWt, with the same bits either
+# way; only the Nemytskii mix reads dWt in every call.  Complex products keep
+# their operand order, since numpy's complex multiply rounds a * b and b * a
+# differently.  That includes the order numpy picks itself: it evaluates
+# `x * temporary` as `temporary *= x` from 256 KiB up when the two have one
+# shape, so a product written with out= keeps the order the expression had.
 
 def _step_em_batch(u: np.ndarray, dW: np.ndarray, dWt: np.ndarray,
                    cfg: SdeConfig, ops: GalerkinOps) -> np.ndarray:
     dt = cfg.dt
     work = ops.work
+    work.take_step(ops, em=True)
     # the engine hands a step's result back as it is, so `is` tells the states apart
     incr = work.states[u is work.states[0]]
     np.multiply(ops.corr - cfg.beta, u, out=incr)
@@ -407,8 +513,7 @@ def _step_em_batch(u: np.ndarray, dW: np.ndarray, dWt: np.ndarray,
         nl = _nonlinear_coeffs(u, ops, cfg.alpha, work)
         incr -= np.multiply(1j * dt, nl, out=nl)
     if len(ops.b_eff):
-        lin = np.multiply(1j, np.matmul(dW, ops.b_eff, out=work.phase), out=work.coef)
-        incr -= np.multiply(lin, u, out=lin)
+        incr -= np.multiply(work.b_factor(dW, ops, em=True), u, out=work.coef)
     g_inc = _g_increment(u, dWt, ops, work)
     if g_inc is not None:
         incr += g_inc
@@ -419,6 +524,7 @@ def _step_em_batch(u: np.ndarray, dW: np.ndarray, dWt: np.ndarray,
 def _step_split_batch(u: np.ndarray, dW: np.ndarray, dWt: np.ndarray,
                       cfg: SdeConfig, ops: GalerkinOps) -> np.ndarray:
     work = ops.work
+    work.take_step(ops, em=False)
     # the engine hands a step's result back as it is, so `is` tells the states apart
     out = work.states[u is work.states[0]]
     np.multiply(ops.rot, u, out=out)
@@ -433,7 +539,7 @@ def _step_split_batch(u: np.ndarray, dW: np.ndarray, dWt: np.ndarray,
     if cfg.beta != 0.0:
         out *= ops.damp
     if len(ops.b_eff):
-        out *= _unit_phase(np.matmul(dW, ops.b_eff, out=work.phase), work.coef)
+        out *= work.b_factor(dW, ops, em=False)
     g_inc = _g_increment(out, dWt, ops, work)
     if g_inc is not None:
         out += g_inc
@@ -683,14 +789,17 @@ class _RowSlice:
             self.next += 1
 
     def advance(self, u: np.ndarray, step: int, incs: np.ndarray) -> np.ndarray:
-        """One unchecked block of the slice's rows of the batch u at `step`;
-        returns their last state, which may be a buffer of ops.work."""
+        """One unchecked block of the slice's rows of the batch u at `step`,
+        whose increments, the slice's rows of incs, are fed to ops.work for
+        the steppers' noise tables; returns their last state, which may be a
+        buffer of ops.work."""
         cfg, ops = self.cfg, self.ops
         stepper = _STEPPERS[cfg.scheme]
         nb = ops.B.n_modes
-        u = u[self.rows]
-        with np.errstate(all="ignore"):     # pool threads do not inherit the caller's
-            for inc in incs[:, self.rows]:
+        u, incs = u[self.rows], incs[:, self.rows]
+        # pool threads do not inherit the caller's errstate
+        with np.errstate(all="ignore"), ops.work.fed(incs):
+            for inc in incs:
                 u = stepper(u, inc[:, :nb], inc[:, nb:], cfg, ops)
                 step += 1
                 i = self.snapset.get(step)
@@ -702,16 +811,17 @@ class _RowSlice:
 def _replay(u: np.ndarray, step: int, incs: np.ndarray, cfg: SdeConfig,
             ops: GalerkinOps) -> None:
     """Run the block of increments incs from the whole batch u at `step`
-    again, in one StepWork, with _check_rows after every step.  It records
-    nothing: the slices have recorded the block with the same bits, and the
-    tables of a run that raises are discarded."""
+    again, in one StepWork fed the whole block, with _check_rows after every
+    step.  It records nothing: the slices have recorded the block with the
+    same bits, and the tables of a run that raises are discarded."""
     stepper = _STEPPERS[cfg.scheme]
     nb = ops.B.n_modes
     ops = replace(ops, work=StepWork(len(u), ops.basis))
-    for inc in incs:
-        u = stepper(u, inc[:, :nb], inc[:, nb:], cfg, ops)
-        step += 1
-        _check_rows(u, step, cfg, ops)
+    with ops.work.fed(incs):
+        for inc in incs:
+            u = stepper(u, inc[:, :nb], inc[:, nb:], cfg, ops)
+            step += 1
+            _check_rows(u, step, cfg, ops)
 
 
 def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import logging
 import math
+from dataclasses import replace
+from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
@@ -18,9 +20,10 @@ from .spectral import (BASIS_KINDS, SpectralField, apply_frac_power, h_norm_sq,
                        lp_power, make_basis, v_norm_sq)
 from .operators import (antiderivative_F, apply_F, hs_norm_sq_batch, make_noise_B,
                         make_noise_G, rho, smoothed_projector, stratonovich_correction)
-from .dynamics import (BLOWUP_V_NORM, CONFIG_KEYS, BlowUpError, ConfigurationError,
-                       SdeConfig, build_operators, default_initial, simulate, simulate_ensemble,
-                       state_functionals)
+from .dynamics import (_RNG_BLOCK, _STEPPERS, BLOWUP_V_NORM, CONFIG_KEYS, BlowUpError,
+                       BrownianDriver, ConfigurationError, SdeConfig, StepWork, build_operators,
+                       default_initial, default_initial_family, integrate_paths, simulate,
+                       simulate_ensemble, state_functionals)
 from .observables import contraction_diagnostic, mass_budget_residual, supermartingale_trace
 from .ergodicity import decay_rate_fit, min_mass_1, radius_indicator, time_average
 from .config import ConfigError, compute_constants, config_checksum, parse_config
@@ -249,6 +252,24 @@ def _chk_blow_up_exact_step():
     return math.inf, 0.0
 
 
+def _chk_noise_tables():
+    # snls invariant's batch, 3 rows of default.cfg on key 0, for 300 steps: the
+    # engine's steps read their B phases and G columns from noise tables loaded
+    # 4 times, direct stepper calls compute their own from the same increments
+    text = (Path(__file__).resolve().parent / "default.cfg").read_text()
+    cfg = replace(parse_config(text), t_final=0.3)
+    ops = build_operators(cfg)
+    batch = np.array([f.coeffs for _, f in default_initial_family(ops.basis, cfg.galerkin_level)])
+    end = integrate_paths(cfg, ops, batch, [0, 0, 0])[2]
+    driver = BrownianDriver(cfg.seed, 0, ops.B.n_modes, ops.G.n_modes, cfg.dt)
+    step_ops, nb, u = replace(ops, work=StepWork(len(batch), ops.basis)), ops.B.n_modes, batch
+    for start in range(0, cfg.n_steps, _RNG_BLOCK):
+        block = driver.increments(min(_RNG_BLOCK, cfg.n_steps - start))
+        for inc in np.repeat(block[:, None], len(batch), axis=1):
+            u = _STEPPERS[cfg.scheme](u, inc[:, :nb], inc[:, nb:], cfg, step_ops)
+    return float(u.tobytes() != end.tobytes()), 0.0
+
+
 def _chk_ensemble_single_path():
     cfg = _small_cfg(b_profiles=("0.2",), paths=1)
     u0 = default_initial(build_operators(cfg).basis, cfg.galerkin_level)
@@ -445,6 +466,7 @@ CHECKS: List[Tuple[str, str, Callable]] = [
     ("damping_exactness", "exact exponential damping factor", _chk_damping_exactness),
     ("replay_bit_identity", "seeded reproducibility", _chk_replay),
     ("blow_up_guard_exact_step", "a blow-up names the step of the per-step rule", _chk_blow_up_exact_step),
+    ("noise_tables_bit_identity", "a block's noise tables give the bits of per-step factors", _chk_noise_tables),
     ("ensemble_single_path_consistency", "ensemble of one equals the trajectory", _chk_ensemble_single_path),
     ("support_invariant", "states stay inside the Galerkin band", _chk_support_invariant),
     ("em_mean_mass_recursion", "Ito mean-mass recursion", _chk_em_mass_recursion),

@@ -4,8 +4,10 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from snls.cli import main
 from snls.config import config_checksum
 from snls.dynamics import CONFIG_KEYS, engine_info, engine_threads
 from snls.operators import B_PROFILE_RULE, G_PARAMS_RULE
+from snls.verify import CHECKS
 
 BASE_CFG = """
 domain.kind = torus1d
@@ -460,3 +463,10 @@ def test_a_clean_verify_writes_nothing_to_stderr(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def test_the_readme_states_the_verify_check_count():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    counts = re.findall(r"(\d+) internal consistency checks|one of its (\d+) checks", readme)
+    assert len(counts) == 2
+    assert [int(a or b) for a, b in counts] == [len(CHECKS)] * 2

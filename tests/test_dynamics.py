@@ -8,11 +8,13 @@ import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from snls import dynamics
+from snls.config import parse_config
 from snls.dynamics import (
     SCHEMES,
     BlowUpError,
@@ -1088,6 +1090,25 @@ def test_a_warm_step_allocates_no_block_beyond_the_chunk_scratch(dim, scheme, g_
     step = dynamics._STEPPERS[cfg.scheme]
     u = step(u, dW, dWt, cfg, step_ops)
     assert _largest_numpy_block(lambda: step(u, dW, dWt, cfg, step_ops)) <= bound
+    # fed a block, a warm step that loads the next steps' noise factors writes
+    # them into the tables the first load made: few rows, so that the tables
+    # hold several steps and outweigh the scratch
+    rows = 1 if dim == 2 else 3
+    work = dynamics.StepWork(rows, ops.basis)
+    bound = max(scratch.nbytes for _, _, scratch in work.chunks)
+    step_ops, nb = dataclasses.replace(ops, work=work), ops.B.n_modes
+    u = _rows_and_noise(cfg, ops, rows)[0]
+    incs = 0.03 * np.random.default_rng(5).standard_normal((256, rows, nb + ops.G.n_modes))
+    with work.fed(incs):
+        u = step(u, incs[0, :, :nb], incs[0, :, nb:], cfg, step_ops)
+        per_load = len(work.tables[1])
+        assert 2 <= per_load < 128 and sum(t.nbytes for t in work.tables) > bound
+        for inc in incs[1:per_load]:
+            u = step(u, inc[:, :nb], inc[:, nb:], cfg, step_ops)
+        inc = incs[per_load]
+        assert _largest_numpy_block(lambda: step(u, inc[:, :nb], inc[:, nb:], cfg,
+                                                 step_ops)) <= bound
+        assert work.lo == per_load
 
 
 @pytest.mark.parametrize("scheme, g_variant, scratch", [
@@ -1113,6 +1134,110 @@ def test_the_unit_phase_gives_the_bits_of_the_complex_exp():
     for n in (dynamics._UNIT_PHASE_MIN - 1, len(x)):
         got = dynamics._unit_phase(x[:n], np.empty(n, dtype=complex))
         assert got.tobytes() == np.exp(-1j * x[:n]).tobytes(), n
+
+
+def _table_bytes(ops, rows):
+    """The bytes a step of `rows` rows takes in a StepWork's noise tables, by
+    the rule StepWork states: 16 a row per complex factor (n_modes for B, one
+    for linear-diagonal and n_modes for additive G) and 8 per real product
+    (n_modes with B on, else one with linear-diagonal G)."""
+    n, lin = ops.basis.n_modes, ops.G.variant == "linear_diagonal"
+    b = n if ops.B.n_modes else 0
+    g = 1 if lin else n if ops.G.variant == "additive" else 0
+    return rows * (16 * (b + g) + 8 * (b or int(lin)))
+
+
+@pytest.mark.parametrize("kind", BASIS_KINDS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("g_variant", G_VARIANTS)
+@pytest.mark.parametrize("b_on", [False, True])
+def test_a_stepper_fed_a_block_gives_the_bits_of_direct_calls(kind, scheme, g_variant, b_on,
+                                                              monkeypatch):
+    # at 1 to 3 rows, tables of 3 steps, so a block of 10 steps loads them 4
+    # times, the last time with one step; a one-row step is a matrix-vector
+    # product, which a product over the steps keeps and one over the steps x
+    # rows flattened does not.  At 1024 rows, on the 1-D kinds (the factors
+    # do not depend on the grid), the tables of 128 KiB: 5 steps of
+    # linear-diagonal G alone, and none, so per-step factors, with the rest.
+    cfg = _cfg(domain_kind=kind, modes_per_axis=8 if kind.endswith("2d") else 16,
+               scheme=scheme, beta=0.5, nonlinearity_enabled=True,
+               b_profiles=("0.1/(1+lambda)", "0.05") if b_on else (),
+               g_variant=g_variant, g_params=(0.3, 0.1) if g_variant != "none" else ())
+    ops = build_operators(cfg)
+    step, nb = dynamics._STEPPERS[scheme], ops.B.n_modes
+    u0 = default_initial(ops.basis, cfg.galerkin_level, mass=3.0).coeffs
+    for rows in (1, 2, 3) if kind.endswith("2d") else (1, 2, 3, 1024):
+        per_step = _table_bytes(ops, rows)
+        monkeypatch.setattr(dynamics, "_CHUNK_BYTES",
+                            3 * per_step if per_step and rows < 1024 else 128 * 1024)
+        per_load = dynamics._CHUNK_BYTES // per_step if per_step else 0
+        incs = 0.03 * np.random.default_rng(rows).standard_normal((10, rows, nb + ops.G.n_modes))
+        fed_ops, direct_ops = (dataclasses.replace(ops, work=dynamics.StepWork(rows, ops.basis))
+                               for _ in range(2))
+        fed = direct = u0 * (1.0 + np.arange(rows) / rows)[:, None]
+        with fed_ops.work.fed(incs):
+            for i, inc in enumerate(incs):
+                fed = step(fed, inc[:, :nb], inc[:, nb:], cfg, fed_ops)
+                direct = step(direct, inc[:, :nb], inc[:, nb:], cfg, direct_ops)
+                assert fed.tobytes() == direct.tobytes(), (rows, i)
+        tables = fed_ops.work.tables
+        assert [len(t) for t in tables[1:]] == [per_load if per_load >= 2 else 0] * 2, rows
+        assert direct_ops.work.tables is None
+
+
+@pytest.mark.parametrize("kind", BASIS_KINDS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_slices_that_share_keys_read_their_noise_tables_with_the_per_step_bits(kind, scheme,
+                                                                               monkeypatch):
+    # 9 rows on keys 0, 1, 2, 0, 1, 2, ... split over 3 slices of 3 rows: every
+    # key runs in every slice, and each slice loads its tables 3 times or more
+    # in the first RNG block
+    cfg = _cfg(domain_kind=kind, modes_per_axis=8 if kind.endswith("2d") else 16,
+               scheme=scheme, beta=0.5, nonlinearity_enabled=True, t_final=0.27,
+               snapshot_stride=7, b_profiles=("0.1/(1+lambda)", "0.05"),
+               g_variant="linear_diagonal", g_params=(0.3, 0.1))
+    ops = build_operators(cfg)
+    u0 = default_initial(ops.basis, cfg.galerkin_level, mass=3.0).coeffs
+    batch = u0 * (1.0 + 0.1 * np.arange(9))[:, None]
+    streams = [0, 1, 2] * 3
+    per_load = dynamics._CHUNK_BYTES // _table_bytes(ops, 3)
+    assert 14 <= per_load and 2 * per_load < dynamics._RNG_BLOCK
+    loads, b_factors = [], dynamics._b_factors
+
+    def counted(dW, *args):
+        loads.append(len(dW))
+        return b_factors(dW, *args)
+    monkeypatch.setattr(dynamics, "_b_factors", counted)
+    _threads(monkeypatch, 3)
+    times, tables, u, states = integrate_paths(cfg, ops, batch, streams, collect_states=True)
+    monkeypatch.undo()
+    # blocks of 256 and 14 steps
+    block0 = [per_load] * (256 // per_load) + [256 % per_load] * (256 % per_load > 0)
+    assert sorted(loads) == sorted((block0 + [14]) * 3)
+    ref = _per_step_reference(cfg, ops, batch, streams)
+    assert _same_bits(u, ref[2]) and _same_bits(states, ref[3])
+    for name, table in tables.items():
+        assert _same_bits(table, ref[1][name]), name
+
+
+def test_the_split_step_takes_one_unit_phase_per_step_and_one_per_table_load(monkeypatch):
+    # snls invariant's batch, 3 rows of default.cfg on key 0, for 300 steps:
+    # 3 x (16 x (16 + 1) + 8 x 16) = 1200 bytes a step, so the tables hold
+    # 131072 // 1200 = 109 steps; the RNG blocks of 256 and 44 steps load
+    # them 3 times and once.  Each step's nonlinear phase is one more call.
+    text = (Path(dynamics.__file__).resolve().parent / "default.cfg").read_text()
+    cfg = dataclasses.replace(parse_config(text), t_final=0.3)
+    ops = build_operators(cfg)
+    batch = np.array([f.coeffs for _, f in default_initial_family(ops.basis, cfg.galerkin_level)])
+    calls, unit_phase = [], dynamics._unit_phase
+
+    def counted(x, out):
+        calls.append(x.shape)
+        return unit_phase(x, out)
+    monkeypatch.setattr(dynamics, "_unit_phase", counted)
+    integrate_paths(cfg, ops, batch, [0, 0, 0])
+    assert [s[0] for s in calls if len(s) == 3] == [109, 109, 38, 44]
+    assert len(calls) == cfg.n_steps + 4
 
 
 @pytest.mark.parametrize("rows", [1, 3, 9, 10])
