@@ -281,20 +281,17 @@ class StepWork:
     stage of a config needs, as the grid without F and Nemytskii G, or the
     scratch of ito_exp_em without Nemytskii G, is never made.
 
-    A caller hands a block of increments over with `fed`.  The tables then
-    hold the noise-only factors (B, linear-diagonal or additive G) of as many
-    next steps of the block as fit in _CHUNK_BYTES, refilled when a step
-    finds them used up, and each stepper call reads the next step's row.
-    Where fewer than two steps fit, and in a call with no block, a step
-    computes its factors from its dW and dWt, as a block of one step.
+    The step loop, _steps, fills the tables with the noise-only factors (B,
+    linear-diagonal or additive G) of the next steps of its block that fit in
+    _CHUNK_BYTES and points `row` at each step's row.  Where fewer than two
+    steps fit, and in a direct stepper call, a step makes its own factors.
     """
 
     def __init__(self, rows: int, basis: EigenBasis):
         self.rows = rows
         self.basis = basis
-        self.incs = None        # the fed block
         self.row = None         # the tables' row of the current step, or None
-        self.tables = None      # (real scratch, B table, G table), made at the first load
+        self.tables = None      # (real scratch, B table, G table), made at the first fill
 
     def _empty(self, *shape: int, dtype=np.complex128) -> np.ndarray:
         return np.empty((self.rows,) + shape, dtype=dtype)
@@ -340,59 +337,36 @@ class StepWork:
                            dtype=np.complex128)
         return tuple((c, g, scratch[:g.size].reshape(g.shape)) for c, g in self.grid_chunks)
 
-    @contextlib.contextmanager
-    def fed(self, incs: np.ndarray):
-        """The next len(incs) stepper calls step the block of increments incs,
-        (steps, rows, n_B + n_G), and take their noise factors from its
-        tables; the block is let go on exit."""
-        self.incs, self.next, self.lo, self.hi = incs, 0, 0, 0
-        try:
-            yield
-        finally:
-            self.incs = self.row = None
-
-    def _make_tables(self, ops: GalerkinOps) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The tables of as many steps as fit in _CHUNK_BYTES, at most the fed
-        block's, or of none where fewer than two fit.  A step takes 16 bytes
-        a row per complex factor, n_modes for B, one for linear-diagonal and
-        n_modes for additive G, and 8 per real product the factors are made
-        from: n_modes with B on, else one with linear-diagonal G."""
-        n = self.basis.n_modes
-        b = n if len(ops.b_eff) else 0
-        g = {"linear_diagonal": 1, "additive": n}.get(ops.G.variant, 0)
-        real = b or (g if ops.G.variant == "linear_diagonal" else 0)
-        per_step = self.rows * (16 * (b + g) + 8 * real)
-        steps = min(_CHUNK_BYTES // per_step, len(self.incs)) if per_step else 0
-        if steps < 2:
-            steps = 0
-        return (np.empty(steps * self.rows * real),
-                np.empty((steps, self.rows, b), dtype=np.complex128),
-                np.empty((steps, self.rows, g), dtype=np.complex128))
-
-    def take_step(self, ops: GalerkinOps, em: bool) -> None:
-        """Start a stepper call: point `row` at its step's factors, loading the
-        tables when they are used up; None without a block or tables."""
-        if self.incs is None:
-            return
-        step, self.next = self.next, self.next + 1
-        if step >= self.hi:
-            self._load(step, ops, em)
-        self.row = step - self.lo if step < self.hi else None
-
-    def _load(self, step: int, ops: GalerkinOps, em: bool) -> None:
-        """Fill the tables with the factors of the fed block's steps from `step` on."""
+    def fill(self, incs: np.ndarray, ops: GalerkinOps, em: bool) -> int:
+        """Fill the tables with the factors of the first steps of the block of
+        increments incs, (steps, rows, n_B + n_G), as many as they hold, and
+        return that count.  The first fill makes them, for as many steps as
+        fit in _CHUNK_BYTES, at most len(incs), or for none where fewer than
+        two fit.  A step takes 16 bytes a row per complex factor, n_modes for
+        B, one for linear-diagonal and n_modes for additive G, and 8 per real
+        product the factors are made from: n_modes with B on, else one with
+        linear-diagonal G."""
+        rows, nb, lin = self.rows, ops.B.n_modes, ops.G.variant == "linear_diagonal"
         if self.tables is None:
-            self.tables = self._make_tables(ops)
+            n = self.basis.n_modes
+            b = n if nb else 0
+            g = {"linear_diagonal": 1, "additive": n}.get(ops.G.variant, 0)
+            real = b or (g if lin else 0)
+            per_step = rows * (16 * (b + g) + 8 * real)
+            steps = min(_CHUNK_BYTES // per_step, len(incs)) if per_step else 0
+            if steps < 2:
+                steps = 0
+            self.tables = (np.empty(steps * rows * real),
+                           np.empty((steps, rows, b), dtype=np.complex128),
+                           np.empty((steps, rows, g), dtype=np.complex128))
         real, b, g = self.tables
-        self.lo, self.hi = step, min(step + len(b), len(self.incs))
-        m, nb = self.hi - step, ops.B.n_modes
-        block = self.incs[step:self.hi]
+        m = min(len(b), len(incs))
         if m and b.shape[2]:
-            _b_factors(block[..., :nb], ops, em, real[:b[:m].size].reshape(b[:m].shape), b[:m])
+            _b_factors(incs[:m, :, :nb], ops, em, real[:b[:m].size].reshape(b[:m].shape), b[:m])
         if m and g.shape[2]:
-            lin = ops.G.variant == "linear_diagonal"
-            _g_factors(block[..., nb:], ops,
-                       real[:m * self.rows].reshape(m, self.rows) if lin else None, g[:m])
+            _g_factors(incs[:m, :, nb:], ops, real[:m * rows].reshape(m, rows) if lin else None,
+                       g[:m])
+        return m
 
     def b_factor(self, dW: np.ndarray, ops: GalerkinOps, em: bool) -> np.ndarray:
         """This step's B unit phase (strat_split) or term (ito_exp_em), (rows, n_modes)."""
@@ -491,9 +465,9 @@ def _nonlinear_coeffs(u: np.ndarray, ops: GalerkinOps, alpha: float,
 # The steppers never write into their input.  Each writes into ops.work, a
 # StepWork of u's rows that its caller sets, and returns one of its two states,
 # the one its input is not, so a caller that keeps a step's result past the
-# next step must copy it.  Each call is the next step of the block fed to
-# ops.work, if any: it takes that step's B and G factors from the work's
-# tables, else it computes them from its dW and dWt, with the same bits either
+# next step must copy it.  A step takes its B and G factors from the tables'
+# row that the step loop, _steps, points ops.work.row at, else, as in a
+# direct call, it computes them from its dW and dWt, with the same bits either
 # way; only the Nemytskii mix reads dWt in every call.  Complex products keep
 # their operand order, since numpy's complex multiply rounds a * b and b * a
 # differently.  That includes the order numpy picks itself: it evaluates
@@ -504,7 +478,6 @@ def _step_em_batch(u: np.ndarray, dW: np.ndarray, dWt: np.ndarray,
                    cfg: SdeConfig, ops: GalerkinOps) -> np.ndarray:
     dt = cfg.dt
     work = ops.work
-    work.take_step(ops, em=True)
     # the engine hands a step's result back as it is, so `is` tells the states apart
     incr = work.states[u is work.states[0]]
     np.multiply(ops.corr - cfg.beta, u, out=incr)
@@ -524,7 +497,6 @@ def _step_em_batch(u: np.ndarray, dW: np.ndarray, dWt: np.ndarray,
 def _step_split_batch(u: np.ndarray, dW: np.ndarray, dWt: np.ndarray,
                       cfg: SdeConfig, ops: GalerkinOps) -> np.ndarray:
     work = ops.work
-    work.take_step(ops, em=False)
     # the engine hands a step's result back as it is, so `is` tells the states apart
     out = work.states[u is work.states[0]]
     np.multiply(ops.rot, u, out=out)
@@ -732,12 +704,31 @@ def _workers(n: int, pid: int):
     return ThreadPoolExecutor(n)
 
 
+def _steps(u: np.ndarray, step: int, incs: np.ndarray, cfg: SdeConfig, ops: GalerkinOps):
+    """The step loop: run the batch u at `step` through the block of
+    increments incs, (steps, rows, n_B + n_G), one stepper call per step, and
+    yield (step, state) after each.  It fills ops.work's noise tables with the
+    factors of as many next steps as they hold whenever they are used up,
+    points ops.work.row at each step's row, and resets it after the block."""
+    stepper = _STEPPERS[cfg.scheme]
+    work, nb, em = ops.work, ops.B.n_modes, cfg.scheme == "ito_exp_em"
+    lo = hi = 0     # the steps the tables hold
+    for i, inc in enumerate(incs):
+        if i == hi:
+            lo, hi = i, i + work.fill(incs[i:], ops, em)
+        work.row = i - lo if i < hi else None
+        u = stepper(u, inc[:, :nb], inc[:, nb:], cfg, ops)
+        yield step + i + 1, u
+    work.row = None
+
+
 class _RowSlice:
     """One row slice of an integrate_paths batch for one call: its rows, the
     ops it steps with, which carry the StepWork made for it here, its views
     of the tables and states, and its snapshot sequence.
 
-    advance runs the slice's rows through one block of steps without a check
+    advance runs the slice's rows through one block of _steps, which fills
+    the StepWork's noise tables and picks each step's row, without a check,
     and records the block's snapshots.  They are observed as one sequence of
     (snapshot, row) pairs in step order, the initial snapshot first, which
     groups cuts into _observe_batch calls.  A group is observed as soon as
@@ -789,19 +780,12 @@ class _RowSlice:
             self.next += 1
 
     def advance(self, u: np.ndarray, step: int, incs: np.ndarray) -> np.ndarray:
-        """One unchecked block of the slice's rows of the batch u at `step`,
-        whose increments, the slice's rows of incs, are fed to ops.work for
-        the steppers' noise tables; returns their last state, which may be a
-        buffer of ops.work."""
-        cfg, ops = self.cfg, self.ops
-        stepper = _STEPPERS[cfg.scheme]
-        nb = ops.B.n_modes
-        u, incs = u[self.rows], incs[:, self.rows]
+        """One unchecked block of the slice's rows of u at `step` and of incs;
+        returns their last state, which may be a buffer of ops.work."""
+        u = u[self.rows]
         # pool threads do not inherit the caller's errstate
-        with np.errstate(all="ignore"), ops.work.fed(incs):
-            for inc in incs:
-                u = stepper(u, inc[:, :nb], inc[:, nb:], cfg, ops)
-                step += 1
+        with np.errstate(all="ignore"):
+            for step, u in _steps(u, step, incs[:, self.rows], self.cfg, self.ops):
                 i = self.snapset.get(step)
                 if i is not None:
                     self.record(u, i)
@@ -811,17 +795,12 @@ class _RowSlice:
 def _replay(u: np.ndarray, step: int, incs: np.ndarray, cfg: SdeConfig,
             ops: GalerkinOps) -> None:
     """Run the block of increments incs from the whole batch u at `step`
-    again, in one StepWork fed the whole block, with _check_rows after every
-    step.  It records nothing: the slices have recorded the block with the
-    same bits, and the tables of a run that raises are discarded."""
-    stepper = _STEPPERS[cfg.scheme]
-    nb = ops.B.n_modes
+    again, through _steps in one StepWork, with _check_rows after every step.
+    It records nothing: the slices have recorded the block with the same
+    bits, and the tables of a run that raises are discarded."""
     ops = replace(ops, work=StepWork(len(u), ops.basis))
-    with ops.work.fed(incs):
-        for inc in incs:
-            u = stepper(u, inc[:, :nb], inc[:, nb:], cfg, ops)
-            step += 1
-            _check_rows(u, step, cfg, ops)
+    for step, u in _steps(u, step, incs, cfg, ops):
+        _check_rows(u, step, cfg, ops)
 
 
 def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
@@ -842,23 +821,25 @@ def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
     for the whole batch, and one draw per RNG block, of which each slice
     reads its rows.  So a row's result does not depend on the split.
 
-    Each slice steps in a StepWork of its own, made once per call: both
+    Each slice steps in a StepWork of its own, made once per call, through
+    _steps, which fills its noise tables and picks each step's row.  Both
     steppers write into it and return one of its buffers, so a slice's last
     state of a block lives in its StepWork until the calling thread joins
-    the slices into a new array.  A block never starts from a StepWork
-    buffer.  A slice observes its snapshots, the initial one first, in
-    groups of rows that may cross snapshots: one _observe_batch call per
-    128 KiB of grid values, not one per snapshot.  The calling thread
-    records the initial snapshot through the slices.
+    the slices into a new array; a block never starts from one.  A slice
+    observes its snapshots, the initial one first, in groups of rows that
+    may cross snapshots: one _observe_batch call per 128 KiB of grid values,
+    not one per snapshot.  The calling thread records the initial snapshot
+    through the slices.
 
     Floating-point errors are ignored throughout, whatever the caller's
     np.errstate: a run fails only with BlowUpError.  The threads run the
     steps of each block and observe its snapshots; the calling thread checks
     the blow-up rule on the block's last state of the whole batch and, when
-    it trips, replays the block from the same increments with _check_rows
-    after every step (_replay).  Non-finite values stay non-finite, so the
-    error names what a check after every step would, except that a row that
-    exceeds BLOWUP_V_NORM and falls back below it within one block passes.
+    it trips, replays the block through _steps from the same increments
+    with _check_rows after every step (_replay).  Non-finite values stay
+    non-finite, so the error names what a check after every step would,
+    except that a row that exceeds BLOWUP_V_NORM and falls back below it
+    within one block passes.
     """
     P = u0_batch.shape[0]
     if len(streams) != P:

@@ -1090,25 +1090,23 @@ def test_a_warm_step_allocates_no_block_beyond_the_chunk_scratch(dim, scheme, g_
     step = dynamics._STEPPERS[cfg.scheme]
     u = step(u, dW, dWt, cfg, step_ops)
     assert _largest_numpy_block(lambda: step(u, dW, dWt, cfg, step_ops)) <= bound
-    # fed a block, a warm step that loads the next steps' noise factors writes
-    # them into the tables the first load made: few rows, so that the tables
-    # hold several steps and outweigh the scratch
+    # in the step loop, a warm step that fills the tables with the next steps'
+    # noise factors writes them into the tables the first fill made: few rows,
+    # so that the tables hold several steps and outweigh the scratch
     rows = 1 if dim == 2 else 3
     work = dynamics.StepWork(rows, ops.basis)
     bound = max(scratch.nbytes for _, _, scratch in work.chunks)
     step_ops, nb = dataclasses.replace(ops, work=work), ops.B.n_modes
     u = _rows_and_noise(cfg, ops, rows)[0]
     incs = 0.03 * np.random.default_rng(5).standard_normal((256, rows, nb + ops.G.n_modes))
-    with work.fed(incs):
-        u = step(u, incs[0, :, :nb], incs[0, :, nb:], cfg, step_ops)
-        per_load = len(work.tables[1])
-        assert 2 <= per_load < 128 and sum(t.nbytes for t in work.tables) > bound
-        for inc in incs[1:per_load]:
-            u = step(u, inc[:, :nb], inc[:, nb:], cfg, step_ops)
-        inc = incs[per_load]
-        assert _largest_numpy_block(lambda: step(u, inc[:, :nb], inc[:, nb:], cfg,
-                                                 step_ops)) <= bound
-        assert work.lo == per_load
+    steps = dynamics._steps(u, 0, incs, cfg, step_ops)
+    next(steps)
+    per_load = len(work.tables[1])
+    assert 2 <= per_load < 128 and sum(t.nbytes for t in work.tables) > bound
+    for _ in range(1, per_load):
+        next(steps)
+    assert _largest_numpy_block(lambda: next(steps)) <= bound
+    assert work.row == 0        # step per_load read the first row of a new fill
 
 
 @pytest.mark.parametrize("scheme, g_variant, scratch", [
@@ -1153,12 +1151,13 @@ def _table_bytes(ops, rows):
 @pytest.mark.parametrize("b_on", [False, True])
 def test_a_stepper_fed_a_block_gives_the_bits_of_direct_calls(kind, scheme, g_variant, b_on,
                                                               monkeypatch):
-    # at 1 to 3 rows, tables of 3 steps, so a block of 10 steps loads them 4
-    # times, the last time with one step; a one-row step is a matrix-vector
-    # product, which a product over the steps keeps and one over the steps x
-    # rows flattened does not.  At 1024 rows, on the 1-D kinds (the factors
-    # do not depend on the grid), the tables of 128 KiB: 5 steps of
-    # linear-diagonal G alone, and none, so per-step factors, with the rest.
+    # the step loop against direct stepper calls: at 1 to 3 rows, tables of 3
+    # steps, so a block of 10 steps fills them 4 times, the last time with one
+    # step; a one-row step is a matrix-vector product, which a product over
+    # the steps keeps and one over the steps x rows flattened does not.  At
+    # 1024 rows, on the 1-D kinds (the factors do not depend on the grid), the
+    # tables of 128 KiB: 5 steps of linear-diagonal G alone, and none, so
+    # per-step factors, with the rest.
     cfg = _cfg(domain_kind=kind, modes_per_axis=8 if kind.endswith("2d") else 16,
                scheme=scheme, beta=0.5, nonlinearity_enabled=True,
                b_profiles=("0.1/(1+lambda)", "0.05") if b_on else (),
@@ -1175,14 +1174,12 @@ def test_a_stepper_fed_a_block_gives_the_bits_of_direct_calls(kind, scheme, g_va
         fed_ops, direct_ops = (dataclasses.replace(ops, work=dynamics.StepWork(rows, ops.basis))
                                for _ in range(2))
         fed = direct = u0 * (1.0 + np.arange(rows) / rows)[:, None]
-        with fed_ops.work.fed(incs):
-            for i, inc in enumerate(incs):
-                fed = step(fed, inc[:, :nb], inc[:, nb:], cfg, fed_ops)
-                direct = step(direct, inc[:, :nb], inc[:, nb:], cfg, direct_ops)
-                assert fed.tobytes() == direct.tobytes(), (rows, i)
+        for i, (_, fed) in enumerate(dynamics._steps(fed, 0, incs, cfg, fed_ops)):
+            direct = step(direct, incs[i, :, :nb], incs[i, :, nb:], cfg, direct_ops)
+            assert fed.tobytes() == direct.tobytes(), (rows, i)
         tables = fed_ops.work.tables
         assert [len(t) for t in tables[1:]] == [per_load if per_load >= 2 else 0] * 2, rows
-        assert direct_ops.work.tables is None
+        assert direct_ops.work.tables is None and fed_ops.work.row is None
 
 
 @pytest.mark.parametrize("kind", BASIS_KINDS)
@@ -1238,6 +1235,46 @@ def test_the_split_step_takes_one_unit_phase_per_step_and_one_per_table_load(mon
     integrate_paths(cfg, ops, batch, [0, 0, 0])
     assert [s[0] for s in calls if len(s) == 3] == [109, 109, 38, 44]
     assert len(calls) == cfg.n_steps + 4
+
+
+def _stepping_twice(monkeypatch):
+    """Wrap every stepper to step its input twice and return the second result."""
+    for scheme, step in list(dynamics._STEPPERS.items()):
+        def twice(u, dW, dWt, cfg, ops, step=step):
+            step(u, dW, dWt, cfg, ops)
+            return step(u, dW, dWt, cfg, ops)
+        monkeypatch.setitem(dynamics._STEPPERS, scheme, twice)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_steps_noise_factors_follow_the_loop_not_the_stepper_calls(scheme, threads,
+                                                                     monkeypatch):
+    # every stepper wrapped to step its input twice: the tables' row is the
+    # loop's step, so the run keeps its bits.  snls invariant's batch, 3 rows
+    # of default.cfg on key 0, for 300 steps; antidamped and without F, it
+    # trips the guard in block 0 after the tables' second fill, and the
+    # replay fills its own
+    text = (Path(dynamics.__file__).resolve().parent / "default.cfg").read_text()
+    cfg = dataclasses.replace(parse_config(text), t_final=0.3, scheme=scheme)
+    runaway = dataclasses.replace(cfg, beta=-100.0, nonlinearity_enabled=False)
+    ops, runaway_ops = build_operators(cfg), build_operators(runaway)
+    batch = np.array([f.coeffs for _, f in default_initial_family(ops.basis, cfg.galerkin_level)])
+    _threads(monkeypatch, threads)
+    runs = []
+    for twice in (False, True):
+        if twice:
+            _stepping_twice(monkeypatch)
+        _, tables, u, states = integrate_paths(cfg, ops, batch, [0, 0, 0], True)
+        with pytest.raises(BlowUpError) as exc:
+            integrate_paths(runaway, runaway_ops, batch, [0, 0, 0])
+        e = exc.value
+        runs.append((u, states, tables, (e.step, e.t, e.v_norm, e.path_index)))
+    (u1, states1, tables1, err1), (u2, states2, tables2, err2) = runs
+    assert _same_bits(u2, u1) and _same_bits(states2, states1) and err2 == err1
+    assert 109 < err1[0] < dynamics._RNG_BLOCK
+    for name, table in tables2.items():
+        assert _same_bits(table, tables1[name]), name
 
 
 @pytest.mark.parametrize("rows", [1, 3, 9, 10])
