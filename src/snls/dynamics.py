@@ -62,8 +62,6 @@ _LOG_MAX = math.log(sys.float_info.max)    # math.exp overflows above it
 # their temporaries stay below glibc's default mmap threshold (128 KiB) and
 # are not faulted in again on every step
 _CHUNK_BYTES = 128 * 1024
-# elements below which one complex exp is cheaper than a cos and a sin
-_UNIT_PHASE_MIN = 1024
 
 
 class BlowUpError(RuntimeError):
@@ -385,11 +383,9 @@ class StepWork:
 
 def _unit_phase(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """e^{-ix} for real x, into the complex array out of x's shape: cos(x) into
-    its real part and -sin(x) into its imaginary part, or one complex exp below
-    _UNIT_PHASE_MIN elements.  With numpy's libm kernels the two give the same
-    bits, so a row does not depend on which one its batch took."""
-    if x.size < _UNIT_PHASE_MIN:
-        return np.exp(np.multiply(-1j, x, out=out), out=out)
+    its real part and -sin(x) into its imaginary part.  Both are elementwise,
+    so an element gets the same bits whatever the size of the call it is in,
+    and a row does not depend on its batch, its slice or its table fill."""
     np.cos(x, out=out.real)
     np.negative(np.sin(x, out=out.imag), out=out.imag)
     return out

@@ -28,8 +28,6 @@ from .observables import contraction_diagnostic, mass_budget_residual, supermart
 from .ergodicity import decay_rate_fit, min_mass_1, radius_indicator, time_average
 from .config import ConfigError, compute_constants, config_checksum, parse_config
 
-_REL_EPS = 1e-12
-
 
 def _rand_field(basis, seed: int, decay: float = 0.5) -> SpectralField:
     g = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))

@@ -323,6 +323,35 @@ def test_horizon_off_the_step_grid_exits_2_before_any_output(tmp_path, capsys):
     assert not (out / "run_manifest.json").exists()
 
 
+@pytest.mark.parametrize("mode, name", [("simulate", "trajectory.csv"),
+                                        ("ensemble", "ensemble.csv"),
+                                        ("invariant", "fingerprint.csv")])
+def test_an_empty_galerkin_band_exits_2_without_the_modes_output(tmp_path, capsys, mode, name):
+    # level 0 holds no dirichlet2d mode (s >= 2 there), so the basis falls back
+    # to its floor grid and there is no default initial datum to normalise
+    text = (BASE_CFG.replace("torus1d", "dirichlet2d")
+            .replace("modes_per_axis = 16", "modes_per_axis = 8")
+            .replace("galerkin.level = 4", "galerkin.level = 0"))
+    out = tmp_path / "o"
+    rc = main([mode, "--config", str(_write_cfg(tmp_path, text)), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: empty Galerkin band for the default initial datum\n"
+    assert "band_modes = 0\n" in captured.out and "grid_shape = (8, 8)\n" in captured.out
+    assert not (out / name).exists()
+
+
+def test_an_out_path_naming_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    rc = main(["simulate", "--config", str(_write_cfg(tmp_path, BASE_CFG)), "--out", str(taken)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith(f"error: cannot create output directory {taken}: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert taken.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("override", [["--seed", "-1"], ["--paths", "0"]])
 def test_invalid_overrides_exit_2_without_a_manifest(tmp_path, capsys, override):
     cfg = _write_cfg(tmp_path, BASE_CFG)

@@ -1124,14 +1124,20 @@ def test_the_chunk_scratch_is_made_only_by_a_stage_that_uses_it(scheme, g_varian
     assert ("chunks" in work.__dict__) == scratch
 
 
-def test_the_unit_phase_gives_the_bits_of_the_complex_exp():
-    # the split step takes cos and -sin from 1024 elements up and the complex
-    # exp below, so a row's bits would depend on its batch if the two differed
-    x = np.concatenate([[0.0, -0.0, 5e-324, -1e-300, 1e-8, np.pi, 1e6, -1e6],
-                        np.random.default_rng(0).standard_normal(4096) * 30.0])
-    for n in (dynamics._UNIT_PHASE_MIN - 1, len(x)):
-        got = dynamics._unit_phase(x[:n], np.empty(n, dtype=complex))
-        assert got.tobytes() == np.exp(-1j * x[:n]).tobytes(), n
+def test_the_unit_phase_gives_an_element_the_same_bits_at_every_call_size():
+    # a noise-table fill, a per-step fill, a direct stepper call and every row
+    # split call the unit phase on different spans of the same values, so an
+    # element's bits must not depend on where its call starts or how long it is
+    x = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-300, 1e-8, np.pi,
+                         1e6, -1e6], np.random.default_rng(0).standard_normal(5000) * 30.0])
+    full = dynamics._unit_phase(x, np.empty(len(x), dtype=complex))
+    lengths = [*range(1, 70), 127, 128, 129, 1023, 1024, 1025, 2048, 4096]
+    for lo in [*range(0, 17), 31, 63, 100, 511, 903]:
+        for n in lengths:
+            got = dynamics._unit_phase(x[lo:lo + n], np.empty(n, dtype=complex))
+            assert got.tobytes() == full[lo:lo + n].tobytes(), (lo, n)
+    # a fact about this platform that nothing in the engine relies on
+    assert full.tobytes() == np.exp(-1j * x).tobytes()
 
 
 def _table_bytes(ops, rows):

@@ -296,6 +296,23 @@ def test_decay_rate_fit_warns_when_mass_grows():
     assert fit.warning and "not decaying" in fit.message
 
 
+def test_decay_rate_fit_drops_snapshots_whose_mean_mass_underflowed():
+    # mass e^{-800 t} reaches the smallest subnormal at t = 0.93 and is 0 after it
+    beta = 400.0
+    cfg = _cfg(beta=beta, t_final=1.0, paths=2)
+    rep = simulate_ensemble(cfg, default_initial(
+        build_operators(cfg).basis, cfg.galerkin_level))
+    mean = rep.mean["mass"]
+    kept = int(np.count_nonzero(mean > 0.0))
+    assert 3 <= kept < len(mean) and np.all(mean[kept:] == 0.0)
+    fit = decay_rate_fit(rep)
+    assert fit.warning and fit.message == "non-positive mean mass excluded from the fit"
+    assert fit.n_points == kept
+    assert fit.window == (rep.times[0], rep.times[kept - 1])
+    assert fit.rate == pytest.approx(-2.0 * beta, rel=1e-4)
+    assert fit.ci[0] <= -2.0 * beta <= fit.ci[1]
+
+
 def test_decay_rate_fit_preconditions():
     cfg = _cfg(beta=1.0, t_final=0.01, dt=5e-3, snapshot_stride=1, paths=2,
                g_variant="additive", g_params=(0.1,))

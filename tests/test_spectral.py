@@ -205,6 +205,28 @@ def test_frac_power_kernel_convention():
     assert np.all(np.isfinite(apply_frac_power(u, "S", -1.0).coeffs))
 
 
+def test_frac_power_zero_is_the_identity_on_the_kernel_mode_too():
+    # a^0 = 1 keeps the torus k = 0 mode (a = 0), which any negative power zeroes
+    basis = make_basis("torus1d", 16)
+    u = random_field(basis, 4)
+    j0 = int(np.argmin(basis.a_eigs))
+    assert basis.a_eigs[j0] == 0.0 and u.coeffs[j0] != 0.0
+    same = apply_frac_power(u, "A", 0.0)
+    assert same.coeffs.tobytes() == u.coeffs.tobytes()
+    assert same.coeffs is not u.coeffs and same.basis is basis
+    assert apply_frac_power(u, "A", -1e-300).coeffs[j0] == 0.0
+
+
+@pytest.mark.parametrize("which, exponent, match", [
+    ("A", math.nan, "finite"), ("S", math.inf, "finite"), ("A", -math.inf, "finite"),
+    ("B", 1.0, "which must be 'A' or 'S', got 'B'")])
+def test_frac_power_rejects_a_non_finite_exponent_and_an_unknown_operator(which, exponent,
+                                                                          match):
+    u = random_field(make_basis("torus1d", 16), 5)
+    with pytest.raises(BasisError, match=match):
+        apply_frac_power(u, which, exponent)
+
+
 @pytest.mark.parametrize("kind", ["torus1d", "dirichlet2d"])
 def test_norm_helpers_batched(kind):
     basis = make_basis(kind, small(kind))
