@@ -9,10 +9,11 @@ with the correction b_n = -1/2 sum_m (S_n B_m S_n)^2.  Two schemes:
 
   ito_exp_em   exponential Euler-Maruyama: exact unitary factor e^{-iA dt}
                applied after an EM update of every remaining term, diffusion
-               at the left endpoint.
+               at the left endpoint, its diagonal terms one factor D.
   strat_split  Lie splitting: exact linear flow, exact pointwise nonlinear
-               phase flow followed by re-projection, exact damping factor,
-               exact unitary Stratonovich B-flow, then the Ito G increment.
+               phase flow followed by re-projection, then one factor D of exact
+               damping, exact unitary Stratonovich B-flow and linear-diagonal
+               Ito G increment; other G adds its Ito increment.
 
 Everything is vectorized over a batch of paths; a single trajectory is the
 batch of size one, so ensemble and single-path runs share one code path and
@@ -193,7 +194,7 @@ class GalerkinOps:
     corr: np.ndarray             # diag of b_n = -1/2 sum (S_n B_m S_n)^2
     rot: np.ndarray              # exp(-i a_k dt)
     damp: float                  # exp(-beta dt)
-    g_additive_dressed: Optional[np.ndarray]   # w * g_m, shape (M~, n_modes)
+    g_additive_dressed: Optional[np.ndarray]   # w * g_m, real, shape (M~, n_modes)
     work: Optional["StepWork"] = None   # the steppers' buffers, set by their caller
 
 
@@ -211,7 +212,7 @@ def build_operators(cfg: SdeConfig, basis: Optional[EigenBasis] = None) -> Galer
     corr = stratonovich_correction(B, w) if B.n_modes else np.zeros(basis.n_modes)
     g_add = None
     if G.variant == "additive":
-        g_add = G.g_coeffs * w
+        g_add = G.g_coeffs.real * w
     return GalerkinOps(
         basis=basis,
         mask=mask,
@@ -273,26 +274,25 @@ class StepWork:
     """The buffers the steps of a batch of `rows` rows write into, each made at
     its first use and kept for as long as its owner steps: at most 16 x rows x
     (3.5 n_modes + grid points, plus modes_per_axis x grid points per axis on
-    a 2-D basis) bytes, a scratch of the grid points of the widest of
+    a 2-D basis) + 8 x rows bytes, a scratch of the grid points of the widest of
     `chunks`, the row ranges the grid-pointwise stages run over, and at most
     _CHUNK_BYTES of noise tables.  Both steppers use them; a buffer that no
     stage of a config needs, as the grid without F and Nemytskii G, or the
     scratch of ito_exp_em without Nemytskii G, is never made.
 
-    The step loop, _steps, fills the tables with the noise-only factors (B,
-    linear-diagonal or additive G) of the next steps of its block that fit in
-    _CHUNK_BYTES and points `row` at each step's row.  Where fewer than two
-    steps fit, and in a direct stepper call, a step makes its own factors.
+    The tables hold each step's D and additive G increment (_diagonal_factors):
+    _steps fills them ahead and points `row` at each step's row; a step with
+    `row` None, as a direct call, fills row 0 with its own.
     """
 
     def __init__(self, rows: int, basis: EigenBasis):
         self.rows = rows
         self.basis = basis
         self.row = None         # the tables' row of the current step, or None
-        self.tables = None      # (real scratch, B table, G table), made at the first fill
+        self.tables = None      # (D, real, dW~ @ gamma), made at the first fill
 
-    def _empty(self, *shape: int, dtype=np.complex128) -> np.ndarray:
-        return np.empty((self.rows,) + shape, dtype=dtype)
+    def _empty(self, *shape: int) -> np.ndarray:
+        return np.empty((self.rows,) + shape, dtype=np.complex128)
 
     @functools.cached_property
     def states(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -301,14 +301,9 @@ class StepWork:
 
     @functools.cached_property
     def coef(self) -> np.ndarray:
-        """(rows, n_modes): a coefficient-space stage of a step, as P_n F(u), a
-        B factor or term, or the G increment."""
+        """(rows, n_modes): a coefficient-space stage of a step, as P_n F(u), the
+        Nemytskii G increment, or D where the tables hold one step."""
         return self._empty(self.basis.n_modes)
-
-    @functools.cached_property
-    def phase(self) -> np.ndarray:
-        """(rows, n_modes) float64: dW @ b_eff."""
-        return self._empty(self.basis.n_modes, dtype=np.float64)
 
     @functools.cached_property
     def grid(self) -> np.ndarray:
@@ -335,50 +330,45 @@ class StepWork:
                            dtype=np.complex128)
         return tuple((c, g, scratch[:g.size].reshape(g.shape)) for c, g in self.grid_chunks)
 
-    def fill(self, incs: np.ndarray, ops: GalerkinOps, em: bool) -> int:
-        """Fill the tables with the factors of the first steps of the block of
-        increments incs, (steps, rows, n_B + n_G), as many as they hold, and
-        return that count.  The first fill makes them, for as many steps as
-        fit in _CHUNK_BYTES, at most len(incs), or for none where fewer than
-        two fit.  A step takes 16 bytes a row per complex factor, n_modes for
-        B, one for linear-diagonal and n_modes for additive G, and 8 per real
-        product the factors are made from: n_modes with B on, else one with
-        linear-diagonal G."""
-        rows, nb, lin = self.rows, ops.B.n_modes, ops.G.variant == "linear_diagonal"
+    def fill(self, dW: np.ndarray, dWt: np.ndarray, ops: GalerkinOps, cfg: SdeConfig,
+             em: bool) -> int:
+        """Fill the tables with the factors of the first steps of dW, (steps,
+        rows, n_B), and dWt, (steps, rows, n_G), as many as they hold, and
+        return that count; 0 where they hold one step, with D in coef, as the
+        first fill makes them where fewer than two steps fit in _CHUNK_BYTES.
+        A step takes 16 bytes a row per element of D, n_modes with B or
+        linear-diagonal G on, and 8 per real: n_modes with B or additive G on
+        (dW @ b_eff, then the additive increment), one with linear-diagonal G."""
         if self.tables is None:
-            n = self.basis.n_modes
-            b = n if nb else 0
-            g = {"linear_diagonal": 1, "additive": n}.get(ops.G.variant, 0)
-            real = b or (g if lin else 0)
-            per_step = rows * (16 * (b + g) + 8 * real)
-            steps = min(_CHUNK_BYTES // per_step, len(incs)) if per_step else 0
-            if steps < 2:
-                steps = 0
-            self.tables = (np.empty(steps * rows * real),
-                           np.empty((steps, rows, b), dtype=np.complex128),
-                           np.empty((steps, rows, g), dtype=np.complex128))
-        real, b, g = self.tables
-        m = min(len(b), len(incs))
-        if m and b.shape[2]:
-            _b_factors(incs[:m, :, :nb], ops, em, real[:b[:m].size].reshape(b[:m].shape), b[:m])
-        if m and g.shape[2]:
-            _g_factors(incs[:m, :, nb:], ops, real[:m * rows].reshape(m, rows) if lin else None,
-                       g[:m])
+            n, lin = self.basis.n_modes, int(ops.G.variant == "linear_diagonal")
+            d = n if ops.B.n_modes or lin else 0
+            r = n if ops.B.n_modes or ops.G.variant == "additive" else 0
+            per_step = self.rows * (16 * d + 8 * (r + lin))
+            steps = max(1, min(_CHUNK_BYTES // per_step, len(dW))) if per_step else len(dW)
+            D = (self.coef[None] if steps == 1 and d
+                 else np.empty((steps, self.rows, d), dtype=np.complex128))
+            self.tables = (D, np.empty((steps, self.rows, r)), np.empty((steps, self.rows, lin)))
+        D, real, scal = self.tables
+        if len(D) == 1:
+            return 0
+        m = min(len(D), len(dW))
+        _diagonal_factors(dW[:m], dWt[:m], ops, cfg, em, real[:m], scal[:m], D[:m])
         return m
 
-    def b_factor(self, dW: np.ndarray, ops: GalerkinOps, em: bool) -> np.ndarray:
-        """This step's B unit phase (strat_split) or term (ito_exp_em), (rows, n_modes)."""
-        if self.row is not None:
-            return self.tables[1][self.row]
-        return _b_factors(dW[None], ops, em, self.phase[None], self.coef[None])[0]
-
-    def g_factor(self, dWt: np.ndarray, ops: GalerkinOps) -> np.ndarray:
-        """This step's linear-diagonal G column, (rows, 1), or additive G
-        increment, (rows, n_modes)."""
-        if self.row is not None:
-            return self.tables[2][self.row]
-        out = self.coef[None] if ops.G.variant == "additive" else None
-        return _g_factors(dWt[None], ops, None, out)[0]
+    def factors(self, dW: np.ndarray, dWt: np.ndarray, ops: GalerkinOps, cfg: SdeConfig,
+                em: bool) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        """This step's D and the imaginary part of its additive G increment, each
+        (rows, n_modes) or None; with `row` None, filled in every call, as a
+        later stage of a step may overwrite D in coef."""
+        if self.tables is None:
+            self.fill(dW[None], dWt[None], ops, cfg, em)
+        D, real, scal = self.tables
+        row = self.row
+        if row is None:
+            row = 0
+            _diagonal_factors(dW[None], dWt[None], ops, cfg, em, real[:1], scal[:1], D[:1])
+        return (D[row] if D.shape[2] else None,
+                real[row] if ops.G.variant == "additive" else None)
 
 
 def _unit_phase(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -391,47 +381,49 @@ def _unit_phase(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _b_factors(dW: np.ndarray, ops: GalerkinOps, em: bool, real: np.ndarray,
-               out: np.ndarray) -> np.ndarray:
-    """The B factor of each step of the increments dW, (steps, rows, n_B), in
-    out of shape (steps, rows, n_modes), through real of that shape: the term
-    1j dW @ b_eff of ito_exp_em, or the unit phase e^{-i dW @ b_eff} of
-    strat_split.  The product is a stack of per-step products, so a step gets
-    the bits of a call on its own increments; a product over the steps x rows
-    flattened would not, since a one-row product is a matrix-vector one."""
-    x = np.matmul(dW, ops.b_eff, out=real)
-    return np.multiply(1j, x, out=out) if em else _unit_phase(x, out)
+def _diagonal_factors(dW: np.ndarray, dWt: np.ndarray, ops: GalerkinOps, cfg: SdeConfig,
+                      em: bool, real: np.ndarray, scal: np.ndarray, D: np.ndarray) -> None:
+    """The factors of each step of dW, (steps, rows, n_B), and dWt, (steps,
+    rows, n_G), into the tables' D, real and scal, each (steps, rows, width).
+    With x = dW @ b_eff and t = (dWt @ gamma) w^2, 0 with B or linear-diagonal
+    G off, D folds every term that acts on u mode by mode after the F stage:
+    (b_n - beta) dt - i (x + t) for ito_exp_em, whose increment is D u, and
+    e^{-beta dt} e^{-ix} (1 - i t) for strat_split.  The additive G increment
+    -i dWt @ (w g) is imaginary: real gets dWt @ (w g).  Each product is a
+    stack of per-step products, so a step gets the bits of a block of its
+    own, which a product over the steps x rows flattened would not give a
+    one-row step."""
+    lin = ops.G.variant == "linear_diagonal"
+    if lin:
+        np.matmul(dWt, ops.G.gammas, out=scal[..., 0])
+    x = np.matmul(dW, ops.b_eff, out=real) if ops.B.n_modes else None
+    if x is not None and not em:
+        _unit_phase(x, D)
+        if lin:     # e^{-ix} = c + iq times 1 - it: c + tq + i (q - tc), through real
+            np.copyto(real, D.real)
+            np.multiply(np.multiply(D.imag, scal, out=D.real), ops.w2, out=D.real)
+            D.real += real
+            D.imag -= np.multiply(np.multiply(real, scal, out=real), ops.w2, out=real)
+    elif D.shape[2]:
+        D.real[...] = (ops.corr - cfg.beta) * cfg.dt if em else 1.0
+        if not lin:
+            np.negative(x, out=D.imag)
+        else:   # -(t + x) as (-s) w^2 - x, the same bits with one pass fewer
+            np.multiply(np.negative(scal, out=scal), ops.w2, out=D.imag)
+            if x is not None:
+                D.imag -= x
+    if D.shape[2] and not em:
+        D *= ops.damp
+    if ops.G.variant == "additive":
+        np.matmul(dWt, ops.g_additive_dressed, out=real)
 
 
-def _g_factors(dWt: np.ndarray, ops: GalerkinOps, real: Optional[np.ndarray],
-               out: Optional[np.ndarray]) -> np.ndarray:
-    """The G factor of each step of the increments dWt, (steps, rows, n_G),
-    in out (allocated when None): the column -1j dWt @ gamma of
-    linear-diagonal G, (steps, rows, 1), through real of shape (steps, rows),
-    or the increment -1j dWt @ (w g) of additive G, (steps, rows, n_modes)."""
-    if ops.G.variant == "linear_diagonal":
-        scal = np.matmul(dWt, ops.G.gammas, out=real)
-        return np.multiply(-1j, scal[..., None], out=out)
-    inc = np.matmul(dWt, ops.g_additive_dressed, out=out)
-    return np.multiply(-1j, inc, out=inc)
-
-
-def _g_increment(u: np.ndarray, dWt: np.ndarray, ops: GalerkinOps,
-                 work: StepWork) -> Optional[np.ndarray]:
-    """-i S_n G(S_n u) dW~ for a batch, in work.coef, or work's g_factor for
-    additive G; None when G is off.  The Nemytskii increment mixes dWt per
-    step and also overwrites work's grid and mid."""
-    G = ops.G
-    if G.variant == "none":
-        return None
-    if G.variant == "linear_diagonal":
-        return np.multiply(work.g_factor(dWt, ops), np.multiply(ops.w2, u, out=work.coef),
-                           out=work.coef)
-    if G.variant == "additive":
-        return work.g_factor(dWt, ops)
-    # bounded_nemytskii: one synthesis of S_n u, one analysis of the mixed field;
-    # sigma(z) * mix replaces z a chunk of rows at a time
-    basis = ops.basis
+def _nemytskii_increment(u: np.ndarray, dWt: np.ndarray, ops: GalerkinOps,
+                         work: StepWork) -> np.ndarray:
+    """-i S_n G(S_n u) dW~ of Nemytskii G for a batch, in work.coef: one
+    synthesis of S_n u, one analysis of the mixed field; sigma(z) * mix
+    replaces z a chunk of rows at a time.  Overwrites work's grid and mid."""
+    basis, G = ops.basis, ops.G
     z = basis.synthesize(np.multiply(ops.w, u, out=work.coef), out=work.grid,
                          scratch=work.mid)
     g_grids = G.g_grids.reshape(G.n_modes, -1)
@@ -461,11 +453,12 @@ def _nonlinear_coeffs(u: np.ndarray, ops: GalerkinOps, alpha: float,
 # The steppers never write into their input.  Each writes into ops.work, a
 # StepWork of u's rows that its caller sets, and returns one of its two states,
 # the one its input is not, so a caller that keeps a step's result past the
-# next step must copy it.  A step takes its B and G factors from the tables'
-# row that the step loop, _steps, points ops.work.row at, else, as in a
-# direct call, it computes them from its dW and dWt, with the same bits either
-# way; only the Nemytskii mix reads dWt in every call.  Complex products keep
-# their operand order, since numpy's complex multiply rounds a * b and b * a
+# next step must copy it.  A step reads its D and additive G increment from
+# the tables' row that _steps points ops.work.row at, else, as in a direct
+# call, fills the tables from its dW and dWt; only the Nemytskii mix reads dWt
+# in every call.  D acts after the F stage, as the factors it folds did, so
+# stages that do not commute keep their order.  Complex products keep their
+# operand order, since numpy's complex multiply rounds a * b and b * a
 # differently.  That includes the order numpy picks itself: it evaluates
 # `x * temporary` as `temporary *= x` from 256 KiB up when the two have one
 # shape, so a product written with out= keeps the order the expression had.
@@ -476,16 +469,15 @@ def _step_em_batch(u: np.ndarray, dW: np.ndarray, dWt: np.ndarray,
     work = ops.work
     # the engine hands a step's result back as it is, so `is` tells the states apart
     incr = work.states[u is work.states[0]]
-    np.multiply(ops.corr - cfg.beta, u, out=incr)
-    incr *= dt
+    D, additive = work.factors(dW, dWt, ops, cfg, em=True)
+    np.multiply((ops.corr - cfg.beta) * dt if D is None else D, u, out=incr)
     if cfg.nonlinearity_enabled:
         nl = _nonlinear_coeffs(u, ops, cfg.alpha, work)
         incr -= np.multiply(1j * dt, nl, out=nl)
-    if len(ops.b_eff):
-        incr -= np.multiply(work.b_factor(dW, ops, em=True), u, out=work.coef)
-    g_inc = _g_increment(u, dWt, ops, work)
-    if g_inc is not None:
-        incr += g_inc
+    if additive is not None:
+        incr.imag -= additive
+    elif ops.G.variant == "bounded_nemytskii":
+        incr += _nemytskii_increment(u, dWt, ops, work)
     # u + incr, then times rot: the result takes incr's buffer
     return np.multiply(ops.rot, np.add(u, incr, out=incr), out=incr)
 
@@ -504,13 +496,15 @@ def _step_split_batch(u: np.ndarray, dW: np.ndarray, dWt: np.ndarray,
             x *= cfg.dt
             g *= _unit_phase(x, scratch)
         np.multiply(ops.maskf, basis.analyze(work.grid, out=out, scratch=work.mid), out=out)
-    if cfg.beta != 0.0:
+    D, additive = work.factors(dW, dWt, ops, cfg, em=False)
+    if D is not None:
+        out *= D
+    elif cfg.beta != 0.0:
         out *= ops.damp
-    if len(ops.b_eff):
-        out *= work.b_factor(dW, ops, em=False)
-    g_inc = _g_increment(out, dWt, ops, work)
-    if g_inc is not None:
-        out += g_inc
+    if additive is not None:
+        out.imag -= additive
+    elif ops.G.variant == "bounded_nemytskii":
+        out += _nemytskii_increment(out, dWt, ops, work)
     return out
 
 
@@ -711,7 +705,7 @@ def _steps(u: np.ndarray, step: int, incs: np.ndarray, cfg: SdeConfig, ops: Gale
     lo = hi = 0     # the steps the tables hold
     for i, inc in enumerate(incs):
         if i == hi:
-            lo, hi = i, i + work.fill(incs[i:], ops, em)
+            lo, hi = i, i + work.fill(incs[i:, :, :nb], incs[i:, :, nb:], ops, cfg, em)
         work.row = i - lo if i < hi else None
         u = stepper(u, inc[:, :nb], inc[:, nb:], cfg, ops)
         yield step + i + 1, u

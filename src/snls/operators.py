@@ -242,11 +242,15 @@ def stratonovich_correction(B: LinearNoiseB, w: Optional[np.ndarray] = None) -> 
 # state noise G
 
 def sigma_saturating(z: np.ndarray) -> np.ndarray:
-    """Bounded Lipschitz scalar nonlinearity z / sqrt(1 + |z|^2)."""
-    return z / np.sqrt(1.0 + np.abs(z) ** 2)
+    """Bounded Lipschitz scalar nonlinearity z / sqrt(1 + |z|^2).  Its roundings
+    sum to at most 4.5 units of 2^-53, and _SIGMA_PAD raises the root by 6, so
+    |sigma| <= SIGMA_BOUND holds as computed, also for |z| above about 1e8."""
+    d = np.sqrt(1.0 + (z.real ** 2 + z.imag ** 2))
+    return z / np.multiply(d, _SIGMA_PAD, out=d)
 
 
 SIGMA_BOUND = 1.0
+_SIGMA_PAD = 1.0 + 3.0 * np.finfo(float).eps     # 1 + 6 units of 2^-53
 SIGMA_LIP = float((1.0 + 2.0 * 0.5) / (1.0 + 0.5) ** 1.5)   # sup_r (1+2r)/(1+r)^{3/2} at r = 1/2
 
 

@@ -252,8 +252,8 @@ def _chk_blow_up_exact_step():
 
 def _chk_noise_tables():
     # snls invariant's batch, 3 rows of default.cfg on key 0, for 300 steps: the
-    # engine's steps read their B phases and G columns from noise tables filled
-    # 4 times, direct stepper calls compute their own from the same increments
+    # engine's steps read their diagonal factors from noise tables filled 4
+    # times, direct stepper calls compute their own from the same increments
     text = (Path(__file__).resolve().parent / "default.cfg").read_text()
     cfg = replace(parse_config(text), t_final=0.3)
     ops = build_operators(cfg)

@@ -30,7 +30,7 @@ from snls.dynamics import (
     simulate,
     simulate_ensemble,
 )
-from snls.operators import G_VARIANTS
+from snls.operators import G_VARIANTS, modulus_power
 from snls.spectral import BASIS_KINDS, SpectralField, h_norm_sq, lp_power, make_basis, v_norm_sq
 
 
@@ -752,6 +752,129 @@ def test_the_engine_matches_the_per_step_reference(kind, scheme, g_variant, b_on
             assert _same_bits(table, ref[1][name]), name
 
 
+def _by_factors(scheme):
+    """A stepper that applies the diagonal factors one at a time, as the
+    steppers did before they were folded into D: the damping, then the B unit
+    phase or term, then the G increment, with the linear-diagonal one as the
+    column -i dW~ @ gamma times w^2 u.  Its F stage and Nemytskii increment
+    are the engine's own functions, in a StepWork of its own per row count."""
+    works = {}
+
+    def g_increment(v, dWt, ops, work):
+        G = ops.G.variant
+        if G == "linear_diagonal":
+            return (-1j * (dWt @ ops.G.gammas))[:, None] * (ops.w2 * v)
+        if G == "additive":
+            return -1j * (dWt @ ops.g_additive_dressed.astype(complex))
+        if G == "bounded_nemytskii":
+            return dynamics._nemytskii_increment(v, dWt, ops, work).copy()
+        return 0.0
+
+    def step(u, dW, dWt, cfg, ops):
+        work = works.setdefault(len(u), dynamics.StepWork(len(u), ops.basis))
+        x = np.matmul(dW[None], ops.b_eff)[0] if len(ops.b_eff) else None
+        if scheme == "ito_exp_em":
+            incr = (ops.corr - cfg.beta) * u
+            incr *= cfg.dt
+            if cfg.nonlinearity_enabled:
+                incr -= 1j * cfg.dt * dynamics._nonlinear_coeffs(u, ops, cfg.alpha, work)
+            if x is not None:
+                incr -= (1j * x) * u
+            return ops.rot * (u + (incr + g_increment(u, dWt, ops, work)))
+        out = ops.rot * u
+        if cfg.nonlinearity_enabled:
+            ops.basis.synthesize(out, out=work.grid, scratch=work.mid)
+            for _, g, scratch in work.chunks:
+                phase = modulus_power(g, cfg.alpha)
+                phase *= cfg.dt
+                g *= dynamics._unit_phase(phase, scratch)
+            out = ops.maskf * ops.basis.analyze(work.grid, scratch=work.mid)
+        if cfg.beta != 0.0:
+            out *= ops.damp
+        if x is not None:
+            out *= dynamics._unit_phase(x, np.empty_like(out))
+        return out + g_increment(out, dWt, ops, work)
+
+    return step
+
+
+def _growth(cfg, ops, states, keys):
+    """prod_n (1 + l_n) over the steps of a run whose state before step n is
+    states[n], (rows, n_modes): l_n bounds how much step n can stretch a
+    perturbation of its input, relative to its size, on these rows."""
+    basis, nb = ops.basis, ops.B.n_modes
+    incs = np.stack([BrownianDriver(cfg.seed, k, nb, ops.G.n_modes, cfg.dt)
+                     .increments(cfg.n_steps) for k in keys], axis=1)
+    pre = states[:-1] * ops.rot if cfg.scheme == "strat_split" else states[:-1]
+    sup = np.abs(basis.synthesize(pre)).reshape(cfg.n_steps, -1).max(axis=1)
+    dW, dWt = incs[..., :nb], incs[..., nb:]
+    # the F stage: |d(v e^{-i dt |v|^{a-1}})| <= 1 + (a - 1) dt |v|^{a-1}, |dF| <= a |v|^{a-1}
+    slope = cfg.alpha - 1.0 if cfg.scheme == "strat_split" else cfg.alpha
+    ell = slope * cfg.dt * sup ** (cfg.alpha - 1.0)
+    ell += (abs(cfg.beta) + np.abs(ops.corr).max()) * cfg.dt
+    if nb:
+        ell += np.abs(dW @ ops.b_eff).max(axis=(1, 2))
+    c_G = (np.abs(ops.G.gammas).max() if ops.G.variant == "linear_diagonal"
+           else ops.G.L_G if ops.G.variant == "bounded_nemytskii" else 0.0)
+    ell += c_G * np.abs(dWt).sum(axis=2).max(axis=1)
+    return float(np.prod(1.0 + ell))
+
+
+FOLD_OPS = 24
+
+
+@pytest.mark.parametrize("kind", BASIS_KINDS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("g_variant", G_VARIANTS)
+@pytest.mark.parametrize("b_on", [False, True])
+def test_the_folded_factor_moves_a_run_by_round_off_only(kind, scheme, g_variant, b_on,
+                                                         monkeypatch):
+    """The engine against _by_factors, both through integrate_paths on the
+    same increments, for N = 300 steps of 3 rows at stride 1.
+
+    The bound.  Both steps are the same map in exact arithmetic.  Each rounded
+    operation, real or complex, errs by at most sqrt(5) eps / 2 < 1.2 eps
+    relative to the size of its operands (Brent, Percival and Zimmermann for
+    a complex product), and every factor and increment of the tail is at most
+    one in modulus relative to the state, so one step's two results differ by
+    at most k eps ||u_n||, where k = FOLD_OPS counts the roundings at which
+    they can part: at most 11 in the tail applied factor by factor (damping,
+    the B factor, then for linear-diagonal G w^2 u, the column product and
+    the sum; in ito_exp_em also (b_n - beta) u, dt, the subtraction of the F
+    term and of the B term), at most 7 in the folded tail (3 per part of D,
+    the damping and the product D u, or the sum D u - i dt P_n F(u) in
+    ito_exp_em), and 6 in the stages both share, which see inputs that differ
+    by the round-off so far and so may round apart (rot, the two transforms,
+    the pointwise F or phase, maskf and the last sum); 11 + 7 + 6 = 24.  A
+    step stretches a difference of its input by at most 1 + l_n (_growth):
+    (alpha - 1) dt sup|v|^{alpha - 1} for the nonlinear phase of strat_split
+    and alpha dt sup|v|^{alpha - 1} for F in ito_exp_em, whose transforms are
+    isometries on the band in the grid quadrature, (|beta| + max|b_n|) dt for
+    the damping and correction, max|dW @ b_eff| for the B factor or term,
+    and max|gamma| or L_G times |dW~|_1 for linear-diagonal or Nemytskii G.
+    So after n steps the difference is at most k eps n A max_{j <= n} ||u_j||,
+    with A = prod (1 + l_j) over the run, and relative to the reference's
+    state at most k eps N A rho, with rho the ratio of the largest to the
+    smallest ||u_j|| over the run and the rows.  The bound is first order in
+    eps; the run's factors keep it far below one.
+    """
+    cfg = _cfg(domain_kind=kind, modes_per_axis=8 if kind.endswith("2d") else 16,
+               scheme=scheme, beta=0.5, nonlinearity_enabled=True, t_final=0.3,
+               snapshot_stride=1, b_profiles=("0.1/(1+lambda)", "0.05") if b_on else (),
+               g_variant=g_variant, g_params=(0.3, 0.1) if g_variant != "none" else ())
+    ops = build_operators(cfg)
+    u0 = default_initial(ops.basis, cfg.galerkin_level, mass=3.0).coeffs
+    batch, keys = u0 * (1.0 + 0.1 * np.arange(3))[:, None], [0, 1, 2]
+    states = integrate_paths(cfg, ops, batch, keys, collect_states=True)[3]
+    monkeypatch.setitem(dynamics._STEPPERS, scheme, _by_factors(scheme))
+    ref = integrate_paths(cfg, ops, batch, keys, collect_states=True)[3]
+    norms = np.sqrt(h_norm_sq(ref))
+    rel = float((np.sqrt(h_norm_sq(states - ref)) / norms).max())
+    rho = float(norms.max() / norms.min())
+    bound = FOLD_OPS * np.finfo(float).eps * cfg.n_steps * _growth(cfg, ops, ref, keys) * rho
+    assert rel <= bound, (rel, bound)
+
+
 def _linear_runaway(trip_step: int, t_final: float = 3.2):
     """Antidamped linear ito_exp_em, V-norm x 1.3 per step, and the amplitude
     whose V-norm first exceeds BLOWUP_V_NORM at trip_step (half a step of margin)."""
@@ -1101,7 +1224,7 @@ def test_a_warm_step_allocates_no_block_beyond_the_chunk_scratch(dim, scheme, g_
     incs = 0.03 * np.random.default_rng(5).standard_normal((256, rows, nb + ops.G.n_modes))
     steps = dynamics._steps(u, 0, incs, cfg, step_ops)
     next(steps)
-    per_load = len(work.tables[1])
+    per_load = len(work.tables[0])
     assert 2 <= per_load < 128 and sum(t.nbytes for t in work.tables) > bound
     for _ in range(1, per_load):
         next(steps)
@@ -1142,13 +1265,13 @@ def test_the_unit_phase_gives_an_element_the_same_bits_at_every_call_size():
 
 def _table_bytes(ops, rows):
     """The bytes a step of `rows` rows takes in a StepWork's noise tables, by
-    the rule StepWork states: 16 a row per complex factor (n_modes for B, one
-    for linear-diagonal and n_modes for additive G) and 8 per real product
-    (n_modes with B on, else one with linear-diagonal G)."""
-    n, lin = ops.basis.n_modes, ops.G.variant == "linear_diagonal"
-    b = n if ops.B.n_modes else 0
-    g = 1 if lin else n if ops.G.variant == "additive" else 0
-    return rows * (16 * (b + g) + 8 * (b or int(lin)))
+    the rule StepWork.fill states: 16 a row per element of D (n_modes with B
+    or linear-diagonal G on) and 8 per real (n_modes with B or additive G on,
+    and one with linear-diagonal G)."""
+    n, lin = ops.basis.n_modes, int(ops.G.variant == "linear_diagonal")
+    d = n if ops.B.n_modes or lin else 0
+    r = n if ops.B.n_modes or ops.G.variant == "additive" else 0
+    return rows * (16 * d + 8 * (r + lin))
 
 
 @pytest.mark.parametrize("kind", BASIS_KINDS)
@@ -1162,8 +1285,9 @@ def test_a_stepper_fed_a_block_gives_the_bits_of_direct_calls(kind, scheme, g_va
     # step; a one-row step is a matrix-vector product, which a product over
     # the steps keeps and one over the steps x rows flattened does not.  At
     # 1024 rows, on the 1-D kinds (the factors do not depend on the grid), the
-    # tables of 128 KiB: 5 steps of linear-diagonal G alone, and none, so
-    # per-step factors, with the rest.
+    # tables of 128 KiB: one step of every config that has a factor, with D
+    # in the coefficient buffer, and all 10 of zero width for the rest.  A
+    # direct call fills tables of one step with its own factors.
     cfg = _cfg(domain_kind=kind, modes_per_axis=8 if kind.endswith("2d") else 16,
                scheme=scheme, beta=0.5, nonlinearity_enabled=True,
                b_profiles=("0.1/(1+lambda)", "0.05") if b_on else (),
@@ -1175,7 +1299,7 @@ def test_a_stepper_fed_a_block_gives_the_bits_of_direct_calls(kind, scheme, g_va
         per_step = _table_bytes(ops, rows)
         monkeypatch.setattr(dynamics, "_CHUNK_BYTES",
                             3 * per_step if per_step and rows < 1024 else 128 * 1024)
-        per_load = dynamics._CHUNK_BYTES // per_step if per_step else 0
+        per_load = max(1, min(dynamics._CHUNK_BYTES // per_step, 10)) if per_step else 10
         incs = 0.03 * np.random.default_rng(rows).standard_normal((10, rows, nb + ops.G.n_modes))
         fed_ops, direct_ops = (dataclasses.replace(ops, work=dynamics.StepWork(rows, ops.basis))
                                for _ in range(2))
@@ -1183,9 +1307,11 @@ def test_a_stepper_fed_a_block_gives_the_bits_of_direct_calls(kind, scheme, g_va
         for i, (_, fed) in enumerate(dynamics._steps(fed, 0, incs, cfg, fed_ops)):
             direct = step(direct, incs[i, :, :nb], incs[i, :, nb:], cfg, direct_ops)
             assert fed.tobytes() == direct.tobytes(), (rows, i)
-        tables = fed_ops.work.tables
-        assert [len(t) for t in tables[1:]] == [per_load if per_load >= 2 else 0] * 2, rows
-        assert direct_ops.work.tables is None and fed_ops.work.row is None
+        assert [len(t) for t in fed_ops.work.tables] == [per_load] * 3, rows
+        assert [len(t) for t in direct_ops.work.tables] == [1] * 3 and fed_ops.work.row is None
+        for step_ops in (fed_ops, direct_ops)[per_load > 1:]:
+            D = step_ops.work.tables[0]
+            assert not D.shape[2] or np.shares_memory(D, step_ops.work.coef)
 
 
 @pytest.mark.parametrize("kind", BASIS_KINDS)
@@ -1205,12 +1331,12 @@ def test_slices_that_share_keys_read_their_noise_tables_with_the_per_step_bits(k
     streams = [0, 1, 2] * 3
     per_load = dynamics._CHUNK_BYTES // _table_bytes(ops, 3)
     assert 14 <= per_load and 2 * per_load < dynamics._RNG_BLOCK
-    loads, b_factors = [], dynamics._b_factors
+    loads, factors = [], dynamics._diagonal_factors
 
     def counted(dW, *args):
         loads.append(len(dW))
-        return b_factors(dW, *args)
-    monkeypatch.setattr(dynamics, "_b_factors", counted)
+        return factors(dW, *args)
+    monkeypatch.setattr(dynamics, "_diagonal_factors", counted)
     _threads(monkeypatch, 3)
     times, tables, u, states = integrate_paths(cfg, ops, batch, streams, collect_states=True)
     monkeypatch.undo()
@@ -1225,8 +1351,8 @@ def test_slices_that_share_keys_read_their_noise_tables_with_the_per_step_bits(k
 
 def test_the_split_step_takes_one_unit_phase_per_step_and_one_per_table_load(monkeypatch):
     # snls invariant's batch, 3 rows of default.cfg on key 0, for 300 steps:
-    # 3 x (16 x (16 + 1) + 8 x 16) = 1200 bytes a step, so the tables hold
-    # 131072 // 1200 = 109 steps; the RNG blocks of 256 and 44 steps load
+    # 3 x (16 x 16 + 8 x (16 + 1)) = 1176 bytes a step, so the tables hold
+    # 131072 // 1176 = 111 steps; the RNG blocks of 256 and 44 steps load
     # them 3 times and once.  Each step's nonlinear phase is one more call.
     text = (Path(dynamics.__file__).resolve().parent / "default.cfg").read_text()
     cfg = dataclasses.replace(parse_config(text), t_final=0.3)
@@ -1239,7 +1365,7 @@ def test_the_split_step_takes_one_unit_phase_per_step_and_one_per_table_load(mon
         return unit_phase(x, out)
     monkeypatch.setattr(dynamics, "_unit_phase", counted)
     integrate_paths(cfg, ops, batch, [0, 0, 0])
-    assert [s[0] for s in calls if len(s) == 3] == [109, 109, 38, 44]
+    assert [s[0] for s in calls if len(s) == 3] == [111, 111, 34, 44]
     assert len(calls) == cfg.n_steps + 4
 
 
@@ -1254,13 +1380,18 @@ def _stepping_twice(monkeypatch):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("threads", [1, 2])
-def test_a_steps_noise_factors_follow_the_loop_not_the_stepper_calls(scheme, threads,
+@pytest.mark.parametrize("one_step", [False, True])
+def test_a_steps_noise_factors_follow_the_loop_not_the_stepper_calls(scheme, threads, one_step,
                                                                      monkeypatch):
     # every stepper wrapped to step its input twice: the tables' row is the
     # loop's step, so the run keeps its bits.  snls invariant's batch, 3 rows
     # of default.cfg on key 0, for 300 steps; antidamped and without F, it
     # trips the guard in block 0 after the tables' second fill, and the
-    # replay fills its own
+    # replay fills its own.  With room for one step only, D lives in the
+    # coefficient buffer, which a step's later stages overwrite, so each call
+    # makes it again.
+    if one_step:
+        monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 2000)
     text = (Path(dynamics.__file__).resolve().parent / "default.cfg").read_text()
     cfg = dataclasses.replace(parse_config(text), t_final=0.3, scheme=scheme)
     runaway = dataclasses.replace(cfg, beta=-100.0, nonlinearity_enabled=False)
@@ -1278,7 +1409,7 @@ def test_a_steps_noise_factors_follow_the_loop_not_the_stepper_calls(scheme, thr
         runs.append((u, states, tables, (e.step, e.t, e.v_norm, e.path_index)))
     (u1, states1, tables1, err1), (u2, states2, tables2, err2) = runs
     assert _same_bits(u2, u1) and _same_bits(states2, states1) and err2 == err1
-    assert 109 < err1[0] < dynamics._RNG_BLOCK
+    assert 111 < err1[0] < dynamics._RNG_BLOCK
     for name, table in tables2.items():
         assert _same_bits(table, tables1[name]), name
 

@@ -300,6 +300,27 @@ def test_sigma_saturating():
     assert SIGMA_LIP == pytest.approx(2.0 / 1.5 ** 1.5, rel=1e-15)
 
 
+def test_sigma_saturating_agrees_with_the_modulus_form_and_stays_bounded():
+    # the form z / sqrt(1 + np.abs(z) ** 2), against re^2 + im^2 and the pad of
+    # 3 eps: each form rounds by at most 2.25 eps and the pad moves by 3 eps,
+    # so the two agree to 7.5 eps relative.  Past about |z| = 1e8 the old
+    # form's |sigma| exceeded 1 by an ulp (1e150 (1 + i) gave 1 + 2.2e-16).
+    edge = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-150, -1e-150,
+            1e150, -1e150, 1e-8, 1.0, 3.0]
+    rng = np.random.default_rng(28)
+    z = np.concatenate([
+        np.array([complex(a, b) for a in edge for b in edge]),
+        rng.standard_normal(5000) + 1j * rng.standard_normal(5000),
+        (rng.standard_normal(5000) + 1j * rng.standard_normal(5000))
+        * np.exp(rng.uniform(-60.0, 60.0, 5000))])
+    old = z / np.sqrt(1.0 + np.abs(z) ** 2)
+    new = sigma_saturating(z)
+    assert np.all(np.abs(new - old) <= 7.5 * np.finfo(float).eps * np.abs(old))
+    assert np.all(np.abs(new) <= SIGMA_BOUND)
+    assert np.all((new == 0.0) == (z == 0.0))
+    assert np.any(np.abs(old) > SIGMA_BOUND)
+
+
 def test_g_bounded_nemytskii():
     basis = make_basis("torus1d", 16)
     G = make_noise_G(basis, "bounded_nemytskii", (0.2, 0.1), 3.0)
