@@ -268,7 +268,7 @@ class StateNoiseG:
     C3: float
     C3t: float
     L_G: float
-    g_grids: Optional[np.ndarray] = None   # g_coeffs synthesized on the grid, (M~,) + grid
+    g_grids: Optional[np.ndarray] = None   # bounded_nemytskii's g_coeffs on the grid, (M~,) + grid
 
     @property
     def n_modes(self) -> int:
@@ -326,13 +326,13 @@ def make_noise_G(basis: EigenBasis, variant: str, params: Sequence[float],
             idx = _lowest_modes(basis, params)
             g = np.zeros((len(params), basis.n_modes), dtype=np.complex128)
             g[np.arange(len(params)), idx] = params
-            g_grids = basis.synthesize(g)
             lp = lp_power(g, basis, alpha + 1.0) ** (1.0 / (alpha + 1.0))
             # additive: G(u)e_m = g_m.  bounded_nemytskii: |sigma| <= SIGMA_BOUND gives
             # the bounded assignment, and the V growth splits into
             # sigma(u) grad g + g sigma'(u) grad u
             bound, lip = 1.0, 0.0
             if variant == "bounded_nemytskii":
+                g_grids = basis.synthesize(g)
                 # exact: the crest of a mode can fall between grid nodes
                 linf = np.abs(params) * np.array([_eigenmode_sup(basis, j) for j in idx])
                 bound, lip = SIGMA_BOUND, float(SIGMA_LIP * np.sqrt(np.sum(linf ** 2)))
@@ -345,31 +345,19 @@ def make_noise_G(basis: EigenBasis, variant: str, params: Sequence[float],
     return StateNoiseG(variant, g, gam, g_grids=g_grids, **consts)
 
 
-def g_fields_batch(coeffs: np.ndarray, G: StateNoiseG, basis: EigenBasis) -> np.ndarray:
-    """G(u)e_m for a batch of states: returns shape (M~,) + coeffs.shape."""
-    if G.variant == "none":
-        return np.zeros((0,) + coeffs.shape, dtype=np.complex128)
-    if G.variant == "additive":
-        shape = (G.n_modes,) + (1,) * (coeffs.ndim - 1) + (basis.n_modes,)
-        return np.broadcast_to(G.g_coeffs.reshape(shape),
-                               (G.n_modes,) + coeffs.shape)
-    if G.variant == "linear_diagonal":
-        return G.gammas.reshape((-1,) + (1,) * coeffs.ndim) * coeffs[None, ...]
-    sig = sigma_saturating(basis.synthesize(coeffs))
-    out = np.empty((G.n_modes,) + coeffs.shape, dtype=np.complex128)
-    for m in range(G.n_modes):
-        out[m] = basis.analyze(sig * G.g_grids[m])
-    return out
-
-
 def hs_norm_sq_batch(coeffs: np.ndarray, G: StateNoiseG, basis: EigenBasis,
                      dress: Optional[np.ndarray] = None) -> np.ndarray:
-    """Batched sum_m ||D G(D u) e_m||^2_H where D is an optional diagonal dressing."""
-    if G.variant == "none":
-        return np.zeros(coeffs.shape[:-1])
+    """Batched sum_m ||D G(D u) e_m||^2_H where D is an optional diagonal dressing.
+
+    One field G(D u) e_m at a time is made and its squared norm added, in mode
+    order at every batch size: no temporary outgrows the rows' grid values."""
+    total = np.zeros(coeffs.shape[:-1])
     v = coeffs if dress is None else coeffs * dress
-    stack = g_fields_batch(v, G, basis)
-    if dress is not None:
-        stack = stack * dress
-    # mode axis first, then noise axis: a row's sum does not depend on the batch size
-    return np.sum(h_norm_sq(stack), axis=0)
+    if G.variant == "bounded_nemytskii":
+        sig = sigma_saturating(basis.synthesize(v))
+    for m in range(G.n_modes):
+        field = (G.g_coeffs[m] if G.variant == "additive" else
+                 G.gammas[m] * v if G.variant == "linear_diagonal" else
+                 basis.analyze(sig * G.g_grids[m]))
+        total += h_norm_sq(field if dress is None else field * dress)
+    return total

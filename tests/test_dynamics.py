@@ -1232,6 +1232,30 @@ def test_a_warm_step_allocates_no_block_beyond_the_chunk_scratch(dim, scheme, g_
     assert work.row == 0        # step per_load read the first row of a new fill
 
 
+@pytest.mark.parametrize("base, modes, level", [
+    ("default.cfg", 16, 4), ("torus1d", 32, 9), ("dirichlet2d", 32, 8), ("neumann2d", 16, 5)])
+@pytest.mark.parametrize("g_variant", ["linear_diagonal", "additive", "bounded_nemytskii"])
+def test_an_observe_call_allocates_no_block_beyond_its_groups_grid_values(base, modes, level,
+                                                                          g_variant):
+    # a row slice observes its snapshots in the row groups of _row_chunks, each
+    # at most 128 KiB of complex grid values; the noise intensity, one field per
+    # noise mode, and the norms make no larger block (a full group of 390, 130,
+    # 4 and 32 rows)
+    if base == "default.cfg":
+        cfg = parse_config((Path(dynamics.__file__).resolve().parent / base).read_text())
+    else:
+        cfg = _cfg(domain_kind=base, modes_per_axis=modes, galerkin_level=level, beta=1.0,
+                   nonlinearity_enabled=True, b_profiles=("0.2", "0.1/(1+lambda)"))
+    assert (cfg.modes_per_axis, cfg.galerkin_level) == (modes, level)
+    cfg = dataclasses.replace(cfg, g_variant=g_variant, g_params=(0.3, 0.2))
+    ops = build_operators(cfg)
+    rows = dynamics._row_chunks(10 ** 4, ops.basis)[0].stop
+    u = _rows_and_noise(cfg, ops, rows)[0]
+    bound = 16 * rows * math.prod(ops.basis.grid_shape)
+    assert bound <= 128 * 1024
+    assert _largest_numpy_block(lambda: dynamics._observe_batch(u, cfg, ops)) <= bound
+
+
 @pytest.mark.parametrize("scheme, g_variant, scratch", [
     ("ito_exp_em", "linear_diagonal", False), ("ito_exp_em", "bounded_nemytskii", True),
     ("strat_split", "linear_diagonal", True)])

@@ -11,7 +11,6 @@ from snls.operators import (
     antiderivative_F,
     apply_F,
     f_pointwise,
-    g_fields_batch,
     hs_norm_sq_batch,
     make_noise_B,
     make_noise_G,
@@ -265,14 +264,12 @@ def test_g_additive():
     G = make_noise_G(basis, "additive", (0.15, 0.1), 3.0)
     assert G.C1 == pytest.approx(math.sqrt(0.15 ** 2 + 0.1 ** 2), rel=1e-14)
     assert G.C1t == 0.0 and G.C2t == 0.0 and G.C3t == 0.0
+    assert G.g_grids is None        # only the Nemytskii fields are made on the grid
     u = random_field(basis, 14)
-    stack = g_fields_batch(u.coeffs[None, :], G, basis)
-    assert stack.shape == (2, 1, basis.n_modes)
+    hs = hs_norm_sq_batch(u.coeffs[None, :], G, basis)
     # additive fields ignore the state
-    stack2 = g_fields_batch(2.0 * u.coeffs[None, :], G, basis)
-    assert np.array_equal(stack, stack2)
-    hs = hs_norm_sq_batch(u.coeffs[None, :], G, basis)[0]
-    assert hs == pytest.approx(G.C1 ** 2, rel=1e-13)
+    assert hs.tobytes() == hs_norm_sq_batch(2.0 * u.coeffs[None, :], G, basis).tobytes()
+    assert hs[0] == pytest.approx(G.C1 ** 2, rel=1e-13)
 
 
 def test_g_additive_mode_placement():
@@ -326,7 +323,6 @@ def test_g_bounded_nemytskii():
     G = make_noise_G(basis, "bounded_nemytskii", (0.2, 0.1), 3.0)
     assert G.C1 > 0.0 and G.C2t > 0.0 and G.L_G > 0.0
     u = random_field(basis, 16)
-    assert g_fields_batch(u.coeffs[None, :], G, basis).shape[0] == 2
     # bounded by construction: intensity never exceeds the C1 budget
     hs, hs_big = hs_norm_sq_batch(np.stack([u.coeffs, u.coeffs * 1e6]), G, basis)
     assert hs <= G.C1 ** 2 * (1.0 + 1e-12)
@@ -347,13 +343,44 @@ def test_g_nemytskii_sup_norms_are_the_crests_of_its_modes(kind, crests):
     assert G.C2t == G.L_G
 
 
-def test_batched_intensity_matches_the_per_field_sum():
+def _g_fields(v, G, basis):
+    """G(v)e_m for a batch v from the definitions of make_noise_G: (M~,) + v.shape."""
+    if G.variant == "additive":
+        return np.broadcast_to(G.g_coeffs[:, None, :], (G.n_modes,) + v.shape)
+    if G.variant == "linear_diagonal":
+        return G.gammas[:, None, None] * v[None]
+    sig = sigma_saturating(basis.synthesize(v))
+    return np.array([basis.analyze(sig * g) for g in basis.synthesize(G.g_coeffs)])
+
+
+@pytest.mark.parametrize("variant", ["additive", "linear_diagonal", "bounded_nemytskii"])
+@pytest.mark.parametrize("dressed", [False, True])
+@pytest.mark.parametrize("rows", [1, 3, 390])
+def test_batched_intensity_matches_the_per_field_sum(variant, dressed, rows):
+    # the stack of all fields, dressed, summed over the noise axis: the bits
+    # of the sum the engine makes one noise mode at a time
     basis = make_basis("torus1d", 16)
-    G = make_noise_G(basis, "linear_diagonal", (0.3, 0.2), 3.0)
-    u = random_field(basis, 17)
-    hs = sum(np.sum(np.abs(f) ** 2) for f in g_fields_batch(u.coeffs[None, :], G, basis)[:, 0])
-    assert hs == pytest.approx(hs_norm_sq_batch(u.coeffs[None, :], G, basis)[0],
-                               rel=1e-13)
+    G = make_noise_G(basis, variant, (0.3, 0.2, 0.1), 3.0)
+    u = np.array([random_field(basis, 17 + r).coeffs for r in range(rows)])
+    w = smoothed_projector(3, basis) if dressed else None
+    stack = _g_fields(u if w is None else u * w, G, basis)
+    want = np.sum(h_norm_sq(stack if w is None else stack * w), axis=0)
+    assert hs_norm_sq_batch(u, G, basis, dress=w).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["additive", "linear_diagonal", "bounded_nemytskii"])
+def test_a_rows_intensity_does_not_depend_on_the_batch_size(variant):
+    # nine noise modes: numpy sums a lone row's nine norms pairwise, in another
+    # order than the row's in a batch; the modes are added in order at any size.
+    # A 2-D basis: a 1-D transform of one row rounds unlike one of a batch
+    basis = make_basis("dirichlet2d", 8)
+    G = make_noise_G(basis, variant, tuple(0.3 / m for m in range(1, 10)), 3.0)
+    w = smoothed_projector(3, basis)
+    u = np.array([random_field(basis, 30 + r).coeffs for r in range(3)])
+    for dress in (None, w):
+        batch = hs_norm_sq_batch(u, G, basis, dress=dress)
+        for r in range(3):
+            assert hs_norm_sq_batch(u[r:r + 1], G, basis, dress=dress)[0] == batch[r]
 
 
 def test_g_rejects_bad_params():
