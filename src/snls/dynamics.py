@@ -208,7 +208,7 @@ def build_operators(cfg: SdeConfig, basis: Optional[EigenBasis] = None) -> Galer
     w = smoothed_projector(cfg.galerkin_level, basis)
     B = make_noise_B(basis, cfg.b_profiles)
     G = make_noise_G(basis, cfg.g_variant, cfg.g_params, cfg.alpha)
-    b_eff = B.multipliers * w ** 2 if B.n_modes else np.zeros((0, basis.n_modes))
+    b_eff = B.multipliers * w ** 2
     corr = stratonovich_correction(B, w) if B.n_modes else np.zeros(basis.n_modes)
     g_add = None
     if G.variant == "additive":
@@ -280,16 +280,17 @@ class StepWork:
     stage of a config needs, as the grid without F and Nemytskii G, or the
     scratch of ito_exp_em without Nemytskii G, is never made.
 
-    The tables hold each step's D and additive G increment (_diagonal_factors):
-    _steps fills them ahead and points `row` at each step's row; a step with
-    `row` None, as a direct call, fills row 0 with its own.
+    The tables hold each step's D and the reals of dW @ b_eff, then of its
+    additive G increment (_diagonal_factors): _steps fills them ahead and
+    points `row` at each step's row; a step with `row` None, as a direct call,
+    fills row 0 with its own.
     """
 
     def __init__(self, rows: int, basis: EigenBasis):
         self.rows = rows
         self.basis = basis
         self.row = None         # the tables' row of the current step, or None
-        self.tables = None      # (D, real, dW~ @ gamma), made at the first fill
+        self.tables = None      # (D, real), made at the first fill
 
     def _empty(self, *shape: int) -> np.ndarray:
         return np.empty((self.rows,) + shape, dtype=np.complex128)
@@ -330,45 +331,39 @@ class StepWork:
                            dtype=np.complex128)
         return tuple((c, g, scratch[:g.size].reshape(g.shape)) for c, g in self.grid_chunks)
 
-    def fill(self, dW: np.ndarray, dWt: np.ndarray, ops: GalerkinOps, cfg: SdeConfig,
-             em: bool) -> int:
+    def fill(self, dW: np.ndarray, dWt: np.ndarray, ops: GalerkinOps, cfg: SdeConfig) -> int:
         """Fill the tables with the factors of the first steps of dW, (steps,
         rows, n_B), and dWt, (steps, rows, n_G), as many as they hold, and
         return that count; 0 where they hold one step, with D in coef, as the
         first fill makes them where fewer than two steps fit in _CHUNK_BYTES.
-        A step takes 16 bytes a row per element of D, n_modes with B or
-        linear-diagonal G on, and 8 per real: n_modes with B or additive G on
-        (dW @ b_eff, then the additive increment), one with linear-diagonal G."""
+        A step takes 16 bytes a row per element of D, n_modes, and 8 per real:
+        n_modes with B or additive G on, else none."""
         if self.tables is None:
-            n, lin = self.basis.n_modes, int(ops.G.variant == "linear_diagonal")
-            d = n if ops.B.n_modes or lin else 0
+            n = self.basis.n_modes
             r = n if ops.B.n_modes or ops.G.variant == "additive" else 0
-            per_step = self.rows * (16 * d + 8 * (r + lin))
-            steps = max(1, min(_CHUNK_BYTES // per_step, len(dW))) if per_step else len(dW)
-            D = (self.coef[None] if steps == 1 and d
-                 else np.empty((steps, self.rows, d), dtype=np.complex128))
-            self.tables = (D, np.empty((steps, self.rows, r)), np.empty((steps, self.rows, lin)))
-        D, real, scal = self.tables
+            steps = max(1, min(_CHUNK_BYTES // (self.rows * (16 * n + 8 * r)), len(dW)))
+            D = self.coef[None] if steps == 1 else np.empty((steps, self.rows, n), dtype=complex)
+            self.tables = (D, np.empty((steps, self.rows, r)))
+        D, real = self.tables
         if len(D) == 1:
             return 0
         m = min(len(D), len(dW))
-        _diagonal_factors(dW[:m], dWt[:m], ops, cfg, em, real[:m], scal[:m], D[:m])
+        _diagonal_factors(dW[:m], dWt[:m], ops, cfg, real[:m], D[:m])
         return m
 
-    def factors(self, dW: np.ndarray, dWt: np.ndarray, ops: GalerkinOps, cfg: SdeConfig,
-                em: bool) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        """This step's D and the imaginary part of its additive G increment, each
-        (rows, n_modes) or None; with `row` None, filled in every call, as a
-        later stage of a step may overwrite D in coef."""
+    def factors(self, dW: np.ndarray, dWt: np.ndarray, ops: GalerkinOps,
+                cfg: SdeConfig) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """This step's D, (rows, n_modes), and the imaginary part of its
+        additive G increment, of that shape or None; with `row` None, filled in
+        every call, as a later stage of a step may overwrite D in coef."""
         if self.tables is None:
-            self.fill(dW[None], dWt[None], ops, cfg, em)
-        D, real, scal = self.tables
+            self.fill(dW[None], dWt[None], ops, cfg)
+        D, real = self.tables
         row = self.row
         if row is None:
             row = 0
-            _diagonal_factors(dW[None], dWt[None], ops, cfg, em, real[:1], scal[:1], D[:1])
-        return (D[row] if D.shape[2] else None,
-                real[row] if ops.G.variant == "additive" else None)
+            _diagonal_factors(dW[None], dWt[None], ops, cfg, real[:1], D[:1])
+        return D[row], real[row] if ops.G.variant == "additive" else None
 
 
 def _unit_phase(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -382,37 +377,39 @@ def _unit_phase(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _diagonal_factors(dW: np.ndarray, dWt: np.ndarray, ops: GalerkinOps, cfg: SdeConfig,
-                      em: bool, real: np.ndarray, scal: np.ndarray, D: np.ndarray) -> None:
+                      real: np.ndarray, D: np.ndarray) -> None:
     """The factors of each step of dW, (steps, rows, n_B), and dWt, (steps,
-    rows, n_G), into the tables' D, real and scal, each (steps, rows, width).
-    With x = dW @ b_eff and t = (dWt @ gamma) w^2, 0 with B or linear-diagonal
-    G off, D folds every term that acts on u mode by mode after the F stage:
-    (b_n - beta) dt - i (x + t) for ito_exp_em, whose increment is D u, and
-    e^{-beta dt} e^{-ix} (1 - i t) for strat_split.  The additive G increment
-    -i dWt @ (w g) is imaginary: real gets dWt @ (w g).  Each product is a
-    stack of per-step products, so a step gets the bits of a block of its
-    own, which a product over the steps x rows flattened would not give a
-    one-row step."""
+    rows, n_G), into the tables' D and real, each (steps, rows, width).
+    With x = dW @ b_eff and t = s w^2, s = dWt @ gamma, each 0 with its
+    noise off, D folds every term that acts on u mode by mode after the F
+    stage: (b_n - beta) dt - i (x + t) for ito_exp_em, whose increment is D u,
+    and e^{-beta dt} e^{-ix} (1 - i t) for strat_split.  The additive G
+    increment -i dWt @ (w g) is imaginary: real gets dWt @ (w g).  Each
+    product is a stack of per-step products, so a step gets the bits of a
+    block of its own, which a product over the steps x rows flattened would
+    not give a one-row step."""
+    em = cfg.scheme == "ito_exp_em"
     lin = ops.G.variant == "linear_diagonal"
-    if lin:
-        np.matmul(dWt, ops.G.gammas, out=scal[..., 0])
+    s = np.matmul(dWt, ops.G.gammas)[..., None] if lin else None
     x = np.matmul(dW, ops.b_eff, out=real) if ops.B.n_modes else None
     if x is not None and not em:
         _unit_phase(x, D)
         if lin:     # e^{-ix} = c + iq times 1 - it: c + tq + i (q - tc), through real
             np.copyto(real, D.real)
-            np.multiply(np.multiply(D.imag, scal, out=D.real), ops.w2, out=D.real)
+            np.multiply(np.multiply(D.imag, s, out=D.real), ops.w2, out=D.real)
             D.real += real
-            D.imag -= np.multiply(np.multiply(real, scal, out=real), ops.w2, out=real)
-    elif D.shape[2]:
+            D.imag -= np.multiply(np.multiply(real, s, out=real), ops.w2, out=real)
+    else:
         D.real[...] = (ops.corr - cfg.beta) * cfg.dt if em else 1.0
-        if not lin:
-            np.negative(x, out=D.imag)
-        else:   # -(t + x) as (-s) w^2 - x, the same bits with one pass fewer
-            np.multiply(np.negative(scal, out=scal), ops.w2, out=D.imag)
+        if lin:     # -(t + x) as (-s) w^2 - x, the same bits with one pass fewer
+            np.multiply(np.negative(s, out=s), ops.w2, out=D.imag)
             if x is not None:
                 D.imag -= x
-    if D.shape[2] and not em:
+        elif x is not None:     # -x, not 0 - x, which gives +0 where -x gives -0
+            np.negative(x, out=D.imag)
+        else:
+            D.imag[...] = 0.0
+    if not em:
         D *= ops.damp
     if ops.G.variant == "additive":
         np.matmul(dWt, ops.g_additive_dressed, out=real)
@@ -456,24 +453,24 @@ def _nonlinear_coeffs(u: np.ndarray, ops: GalerkinOps, alpha: float,
 # next step must copy it.  A step reads its D and additive G increment from
 # the tables' row that _steps points ops.work.row at, else, as in a direct
 # call, fills the tables from its dW and dWt; only the Nemytskii mix reads dWt
-# in every call.  D acts after the F stage, as the factors it folds did, so
-# stages that do not commute keep their order.  Complex products keep their
-# operand order, since numpy's complex multiply rounds a * b and b * a
+# in every call.  Every step multiplies by its D, which carries the damping
+# -beta u of every config.  D acts after the F stage, as the factors it folds
+# did, so stages that do not commute keep their order.  Complex products keep
+# their operand order, since numpy's complex multiply rounds a * b and b * a
 # differently.  That includes the order numpy picks itself: it evaluates
 # `x * temporary` as `temporary *= x` from 256 KiB up when the two have one
 # shape, so a product written with out= keeps the order the expression had.
 
 def _step_em_batch(u: np.ndarray, dW: np.ndarray, dWt: np.ndarray,
                    cfg: SdeConfig, ops: GalerkinOps) -> np.ndarray:
-    dt = cfg.dt
     work = ops.work
     # the engine hands a step's result back as it is, so `is` tells the states apart
     incr = work.states[u is work.states[0]]
-    D, additive = work.factors(dW, dWt, ops, cfg, em=True)
-    np.multiply((ops.corr - cfg.beta) * dt if D is None else D, u, out=incr)
+    D, additive = work.factors(dW, dWt, ops, cfg)
+    np.multiply(D, u, out=incr)
     if cfg.nonlinearity_enabled:
         nl = _nonlinear_coeffs(u, ops, cfg.alpha, work)
-        incr -= np.multiply(1j * dt, nl, out=nl)
+        incr -= np.multiply(1j * cfg.dt, nl, out=nl)
     if additive is not None:
         incr.imag -= additive
     elif ops.G.variant == "bounded_nemytskii":
@@ -496,11 +493,8 @@ def _step_split_batch(u: np.ndarray, dW: np.ndarray, dWt: np.ndarray,
             x *= cfg.dt
             g *= _unit_phase(x, scratch)
         np.multiply(ops.maskf, basis.analyze(work.grid, out=out, scratch=work.mid), out=out)
-    D, additive = work.factors(dW, dWt, ops, cfg, em=False)
-    if D is not None:
-        out *= D
-    elif cfg.beta != 0.0:
-        out *= ops.damp
+    D, additive = work.factors(dW, dWt, ops, cfg)
+    out *= D
     if additive is not None:
         out.imag -= additive
     elif ops.G.variant == "bounded_nemytskii":
@@ -701,11 +695,11 @@ def _steps(u: np.ndarray, step: int, incs: np.ndarray, cfg: SdeConfig, ops: Gale
     factors of as many next steps as they hold whenever they are used up,
     points ops.work.row at each step's row, and resets it after the block."""
     stepper = _STEPPERS[cfg.scheme]
-    work, nb, em = ops.work, ops.B.n_modes, cfg.scheme == "ito_exp_em"
+    work, nb = ops.work, ops.B.n_modes
     lo = hi = 0     # the steps the tables hold
     for i, inc in enumerate(incs):
         if i == hi:
-            lo, hi = i, i + work.fill(incs[i:, :, :nb], incs[i:, :, nb:], ops, cfg, em)
+            lo, hi = i, i + work.fill(incs[i:, :, :nb], incs[i:, :, nb:], ops, cfg)
         work.row = i - lo if i < hi else None
         u = stepper(u, inc[:, :nb], inc[:, nb:], cfg, ops)
         yield step + i + 1, u
@@ -721,10 +715,9 @@ class _RowSlice:
     the StepWork's noise tables and picks each step's row, without a check,
     and records the block's snapshots.  They are observed as one sequence of
     (snapshot, row) pairs in step order, the initial snapshot first, which
-    groups cuts into _observe_batch calls.  A group is observed as soon as
-    its last row is recorded: where the state is when the group lies inside
-    one snapshot, else from pending, which holds the rows of the group in
-    progress.
+    groups cuts into _observe_batch calls.  Every row is copied into
+    pending, which holds the rows of the group in progress, and a group is
+    observed from it as soon as its last row is recorded.
     """
 
     def __init__(self, rows: slice, cfg: SdeConfig, ops: GalerkinOps,
@@ -743,8 +736,8 @@ class _RowSlice:
 
     @functools.cached_property
     def pending(self) -> np.ndarray:
-        """(widest of groups, n_modes): the rows of a group recorded while it is
-        incomplete; made only when a group crosses a snapshot boundary."""
+        """(widest of groups, n_modes): the rows of the group in progress, made
+        at the first record."""
         return np.empty((max(g.stop - g.start for g in self.groups), self.ops.basis.n_modes),
                         dtype=np.complex128)
 
@@ -756,15 +749,11 @@ class _RowSlice:
             self.states[i] = u
         while self.next < len(groups) and groups[self.next].start < b:
             g = groups[self.next]
-            if a <= g.start and g.stop <= b:
-                rows = u[g.start - a:g.stop - a]
-            else:
-                lo, hi = max(g.start, a), min(g.stop, b)
-                self.pending[lo - g.start:hi - g.start] = u[lo - a:hi - a]
-                if g.stop > b:
-                    return
-                rows = self.pending[:g.stop - g.start]
-            obs = _observe_batch(rows, self.cfg, self.ops)
+            lo, hi = max(g.start, a), min(g.stop, b)
+            self.pending[lo - g.start:hi - g.start] = u[lo - a:hi - a]
+            if g.stop > b:
+                return
+            obs = _observe_batch(self.pending[:g.stop - g.start], self.cfg, self.ops)
             for name, seq in self.tables.items():
                 seq.flat[g] = obs[name]
             self.next += 1
@@ -832,6 +821,8 @@ def integrate_paths(cfg: SdeConfig, ops: GalerkinOps, u0_batch: np.ndarray,
     within one block passes.
     """
     P = u0_batch.shape[0]
+    if P == 0:
+        raise ConfigurationError("integrate_paths needs a batch of one path or more")
     if len(streams) != P:
         raise ConfigurationError(f"one stream key per path is required: "
                                  f"{len(streams)} keys for {P} paths")

@@ -8,15 +8,16 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from snls.cli import main
 from snls.config import config_checksum
-from snls.dynamics import CONFIG_KEYS, engine_info, engine_threads
+from snls.dynamics import CONFIG_KEYS, SdeConfig, engine_info, engine_threads
 from snls.operators import B_PROFILE_RULE, G_PARAMS_RULE
-from snls.verify import CHECKS
+from snls.verify import CHECKS, run_verify
 
 BASE_CFG = """
 domain.kind = torus1d
@@ -214,6 +215,30 @@ def test_verify_runs_the_battery_with_the_packaged_default(tmp_path, capsys):
     for c in checks:
         assert set(c) == {"name", "paper_ref", "status", "measured", "tolerance"}
         assert c["status"] == "pass"
+
+
+_ACCEPTS_ANY_TEXT = ("snls.verify.parse_config", lambda text: SdeConfig())
+
+
+@pytest.mark.parametrize("check, target, value", [
+    ("nonlinearity_alias_free", "snls.verify.compute_constants",
+     lambda cfg: SimpleNamespace(alias_free=False)),
+    ("blow_up_guard_exact_step", "snls.dynamics.BLOWUP_V_NORM", math.inf),
+    ("support_invariant", "snls.dynamics.logger.warning", lambda *args: None),
+    ("supermartingale_precondition_guard", "snls.verify.supermartingale_trace",
+     lambda *args: None),
+    *((name, *_ACCEPTS_ANY_TEXT) for name in (
+        "config_duplicate_key", "config_alpha_reject", "config_non_finite_reject",
+        "config_g_params_reject", "config_beta_reject", "config_key_table")),
+])
+def test_each_verify_check_fails_when_its_invariant_is_broken(check, target, value,
+                                                             monkeypatch):
+    # the check measures the failure at its own failure return: it does not crash
+    monkeypatch.setattr(target, value)
+    monkeypatch.setattr("snls.verify.CHECKS", [c for c in CHECKS if c[0] == check])
+    records, n_failed = run_verify()
+    assert n_failed == 1 and records[0]["status"] == "fail"
+    assert records[0]["name"] == check and "(raised" not in records[0]["paper_ref"]
 
 
 def test_config_errors_exit_2_with_stderr(tmp_path, capsys):

@@ -101,6 +101,13 @@ def test_integrate_paths_checks_index_count():
         integrate_paths(cfg, ops, u0, [0, 0, 0, 0])
 
 
+def test_integrate_paths_rejects_an_empty_batch():
+    cfg = _cfg(t_final=1e-3, snapshot_stride=1)
+    ops = build_operators(cfg)
+    with pytest.raises(ConfigurationError, match="one path or more"):
+        integrate_paths(cfg, ops, np.zeros((0, ops.basis.n_modes), dtype=complex), [])
+
+
 # ---------------------------------------------------------------------------
 # exact deterministic substep laws
 
@@ -1289,13 +1296,11 @@ def test_the_unit_phase_gives_an_element_the_same_bits_at_every_call_size():
 
 def _table_bytes(ops, rows):
     """The bytes a step of `rows` rows takes in a StepWork's noise tables, by
-    the rule StepWork.fill states: 16 a row per element of D (n_modes with B
-    or linear-diagonal G on) and 8 per real (n_modes with B or additive G on,
-    and one with linear-diagonal G)."""
-    n, lin = ops.basis.n_modes, int(ops.G.variant == "linear_diagonal")
-    d = n if ops.B.n_modes or lin else 0
+    the rule StepWork.fill states: 16 a row per element of D (n_modes) and 8
+    per real (n_modes with B or additive G on)."""
+    n = ops.basis.n_modes
     r = n if ops.B.n_modes or ops.G.variant == "additive" else 0
-    return rows * (16 * d + 8 * (r + lin))
+    return rows * (16 * n + 8 * r)
 
 
 @pytest.mark.parametrize("kind", BASIS_KINDS)
@@ -1309,9 +1314,8 @@ def test_a_stepper_fed_a_block_gives_the_bits_of_direct_calls(kind, scheme, g_va
     # step; a one-row step is a matrix-vector product, which a product over
     # the steps keeps and one over the steps x rows flattened does not.  At
     # 1024 rows, on the 1-D kinds (the factors do not depend on the grid), the
-    # tables of 128 KiB: one step of every config that has a factor, with D
-    # in the coefficient buffer, and all 10 of zero width for the rest.  A
-    # direct call fills tables of one step with its own factors.
+    # tables of 128 KiB: one step of every config, with D in the coefficient
+    # buffer.  A direct call fills tables of one step with its own factors.
     cfg = _cfg(domain_kind=kind, modes_per_axis=8 if kind.endswith("2d") else 16,
                scheme=scheme, beta=0.5, nonlinearity_enabled=True,
                b_profiles=("0.1/(1+lambda)", "0.05") if b_on else (),
@@ -1321,9 +1325,8 @@ def test_a_stepper_fed_a_block_gives_the_bits_of_direct_calls(kind, scheme, g_va
     u0 = default_initial(ops.basis, cfg.galerkin_level, mass=3.0).coeffs
     for rows in (1, 2, 3) if kind.endswith("2d") else (1, 2, 3, 1024):
         per_step = _table_bytes(ops, rows)
-        monkeypatch.setattr(dynamics, "_CHUNK_BYTES",
-                            3 * per_step if per_step and rows < 1024 else 128 * 1024)
-        per_load = max(1, min(dynamics._CHUNK_BYTES // per_step, 10)) if per_step else 10
+        monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 3 * per_step if rows < 1024 else 128 * 1024)
+        per_load = max(1, min(dynamics._CHUNK_BYTES // per_step, 10))
         incs = 0.03 * np.random.default_rng(rows).standard_normal((10, rows, nb + ops.G.n_modes))
         fed_ops, direct_ops = (dataclasses.replace(ops, work=dynamics.StepWork(rows, ops.basis))
                                for _ in range(2))
@@ -1331,11 +1334,10 @@ def test_a_stepper_fed_a_block_gives_the_bits_of_direct_calls(kind, scheme, g_va
         for i, (_, fed) in enumerate(dynamics._steps(fed, 0, incs, cfg, fed_ops)):
             direct = step(direct, incs[i, :, :nb], incs[i, :, nb:], cfg, direct_ops)
             assert fed.tobytes() == direct.tobytes(), (rows, i)
-        assert [len(t) for t in fed_ops.work.tables] == [per_load] * 3, rows
-        assert [len(t) for t in direct_ops.work.tables] == [1] * 3 and fed_ops.work.row is None
+        assert [len(t) for t in fed_ops.work.tables] == [per_load] * 2, rows
+        assert [len(t) for t in direct_ops.work.tables] == [1] * 2 and fed_ops.work.row is None
         for step_ops in (fed_ops, direct_ops)[per_load > 1:]:
-            D = step_ops.work.tables[0]
-            assert not D.shape[2] or np.shares_memory(D, step_ops.work.coef)
+            assert np.shares_memory(step_ops.work.tables[0], step_ops.work.coef)
 
 
 @pytest.mark.parametrize("kind", BASIS_KINDS)
@@ -1375,8 +1377,8 @@ def test_slices_that_share_keys_read_their_noise_tables_with_the_per_step_bits(k
 
 def test_the_split_step_takes_one_unit_phase_per_step_and_one_per_table_load(monkeypatch):
     # snls invariant's batch, 3 rows of default.cfg on key 0, for 300 steps:
-    # 3 x (16 x 16 + 8 x (16 + 1)) = 1176 bytes a step, so the tables hold
-    # 131072 // 1176 = 111 steps; the RNG blocks of 256 and 44 steps load
+    # 3 x (16 x 16 + 8 x 16) = 1152 bytes a step, so the tables hold
+    # 131072 // 1152 = 113 steps; the RNG blocks of 256 and 44 steps load
     # them 3 times and once.  Each step's nonlinear phase is one more call.
     text = (Path(dynamics.__file__).resolve().parent / "default.cfg").read_text()
     cfg = dataclasses.replace(parse_config(text), t_final=0.3)
@@ -1389,7 +1391,7 @@ def test_the_split_step_takes_one_unit_phase_per_step_and_one_per_table_load(mon
         return unit_phase(x, out)
     monkeypatch.setattr(dynamics, "_unit_phase", counted)
     integrate_paths(cfg, ops, batch, [0, 0, 0])
-    assert [s[0] for s in calls if len(s) == 3] == [111, 111, 34, 44]
+    assert [s[0] for s in calls if len(s) == 3] == [113, 113, 30, 44]
     assert len(calls) == cfg.n_steps + 4
 
 
@@ -1433,7 +1435,7 @@ def test_a_steps_noise_factors_follow_the_loop_not_the_stepper_calls(scheme, thr
         runs.append((u, states, tables, (e.step, e.t, e.v_norm, e.path_index)))
     (u1, states1, tables1, err1), (u2, states2, tables2, err2) = runs
     assert _same_bits(u2, u1) and _same_bits(states2, states1) and err2 == err1
-    assert 111 < err1[0] < dynamics._RNG_BLOCK
+    assert 113 < err1[0] < dynamics._RNG_BLOCK
     for name, table in tables2.items():
         assert _same_bits(table, tables1[name]), name
 

@@ -198,6 +198,8 @@ def test_profile_rejects_unsafe_text():
     ("lam*s + lambda__", "unknown name 'lam'"),
     ("0.1/(1+lambda", "unparsable"),
     ("min(lambda, 1)", "unsupported call 'min'"),
+    ("lambda % 2", "unsupported operator"),
+    ("lambda // 2", "unsupported operator"),
 ])
 def test_profile_knows_only_lambda_and_quotes_the_text_as_written(text, says):
     basis = make_basis("torus1d", 8)

@@ -281,8 +281,12 @@ def test_validation_errors():
     with pytest.raises(BasisError):
         make_basis("klein_bottle", 8)
     basis = make_basis("torus1d", 8)
-    with pytest.raises(ValueError):
-        basis.analyze(np.zeros(3))        # wrong grid shape
+    with pytest.raises(BasisError, match=r"grid shape \(3,\) does not match basis grid \(15,\)"):
+        basis.analyze(np.zeros(3))
+    with pytest.raises(BasisError, match="coefficient length 3 does not match basis with 8 modes"):
+        basis.synthesize(np.zeros(3))
+    with pytest.raises(BasisError, match=r"expected 8 coefficients, got shape \(2, 8\)"):
+        SpectralField(np.zeros((2, 8)), basis)
 
 
 def test_field_accepts_a_strided_row_of_a_batch():
